@@ -10,6 +10,8 @@ tracked per commit.
 
 Asserted unconditionally:
 
+* **no tenant failed**: ``daemon.failed`` is empty after the run (the
+  message names any tenant whose consumer exhausted its restarts);
 * **bounded queue memory**: the admission layer's peak buffered row
   bytes never exceed the configuration-time ceiling
   (``tenants * categories * capacity * batch * events * 8``);
@@ -100,6 +102,11 @@ def test_serve_sustains_load_with_bounded_memory_and_exact_verdicts():
         return daemon, reports, summary, elapsed
 
     daemon, reports, summary, elapsed = asyncio.run(main())
+
+    # Gate 0: every tenant survived the whole run.
+    failures = "; ".join(f"{tenant}: {exc}" for tenant, exc
+                         in sorted(daemon.failed.items()))
+    assert not daemon.failed, f"tenants failed: {failures}"
 
     # Gate 1: queue memory stayed under the configured ceiling.
     peak = daemon.admission.peak_buffered_bytes

@@ -32,6 +32,7 @@ from ..obs import runtime as obs
 from ..stats.streaming import StreamingMoments
 from ..stats.vectorized import batch_pairwise_tests
 from ..uarch.events import EventCounts, HpcEvent
+from .drift import DriftAlarm, DriftMonitor
 from .evaluator import Evaluator
 from .leakage import LeakageReport
 
@@ -40,6 +41,7 @@ __all__ = [
     "STREAM_STATE_SCHEMA_VERSION",
     "StreamTick",
     "StreamingEvaluator",
+    "fold_round",
     "replay_stream",
     "streaming_report_section",
 ]
@@ -198,23 +200,31 @@ class StreamingEvaluator:
                 f"{[e.value for e in self._events]}, got "
                 f"{[e.value for e in events]}")
 
-    def observe(self, category: int,
-                readings: Sequence[EventCounts]) -> None:
-        """Fold a batch of one category's measurements in."""
+    def rows_from_readings(self, readings: Sequence[EventCounts]
+                           ) -> np.ndarray:
+        """``(B, E)`` rows of ``readings`` in this evaluator's column order.
+
+        The first non-empty call binds the event order to the readings'
+        insertion order — the same convention ``EventDistributions.events``
+        uses, so streaming and batch reports list their columns
+        identically.
+        """
         readings = list(readings)
-        if not readings:
-            return
-        if self._events is None:
-            # Measurement insertion order — the same convention
-            # EventDistributions.events uses, so streaming and batch
-            # reports list their columns identically.
+        if self._events is None and readings:
             self._bind_events(list(readings[0]))
-        events = self._events
+        events = self._events or ()
         rows = np.empty((len(readings), len(events)), dtype=np.float64)
         for i, counts in enumerate(readings):
             for j, event in enumerate(events):
                 rows[i, j] = counts[event]
-        self._moments.observe(category, rows)
+        return rows
+
+    def observe(self, category: int,
+                readings: Sequence[EventCounts]) -> None:
+        """Fold a batch of one category's measurements in."""
+        rows = self.rows_from_readings(readings)
+        if rows.shape[0]:
+            self._moments.observe(category, rows)
 
     def observe_rows(self, category: int, rows: np.ndarray,
                      events: Optional[Sequence[HpcEvent]] = None) -> None:
@@ -315,33 +325,21 @@ class StreamingEvaluator:
             new_detections=new_detections,
         )
 
-    def report(self, confidence: Optional[float] = None) -> LeakageReport:
+    def report(self) -> LeakageReport:
         """A batch-compatible leakage report of the current state.
 
         Identical construction to ``Evaluator.evaluate`` run on the same
         sufficient statistics (``distributions`` is None — the samples were
         never retained).
-
-        Args:
-            confidence: Override the evaluator's confidence level for this
-                report only — the alpha-spending alarm layer re-tests the
-                same accumulator state at a per-tick spent alpha without
-                touching the evaluator's own detection bookkeeping.
         """
         if not self.ready:
             raise EvaluationError(
                 "report needs at least two categories with >= 2 "
                 "observations each")
         stats = self._moments.to_sufficient_stats(self._events)
-        if confidence is None or confidence == self.confidence:
-            evaluator = self._evaluator
-            confidence = self.confidence
-        else:
-            evaluator = Evaluator(confidence=confidence, method=self.method)
-        results = evaluator.results_from_stats(stats, self._events)
         return LeakageReport(
-            results=results,
-            confidence=confidence,
+            results=self._evaluator.results_from_stats(stats, self._events),
+            confidence=self.confidence,
             method=self.method,
             categories=list(stats.categories),
             events=list(self._events),
@@ -432,13 +430,47 @@ class StreamingEvaluator:
         return evaluator
 
 
+def fold_round(evaluator: StreamingEvaluator,
+               batches: Mapping[int, np.ndarray],
+               drift: Optional[DriftMonitor] = None
+               ) -> Tuple[Optional[StreamTick], List[DriftAlarm]]:
+    """Fold one round in: every category in sorted order, then one tick.
+
+    The single home of the fold order that ``MeasurementSession.stream``,
+    :func:`replay_stream` and the ``repro serve`` tenant monitor share —
+    the order that makes daemon verdicts bit-identical to offline ones.
+
+    Args:
+        evaluator: The stream's evaluator (its event order must be bound).
+        batches: ``category -> (B, E)`` float64 rows of this round.
+        drift: Optional drift monitor fed the same rows and checked
+            against the evaluator's long-run accumulators after the tick.
+
+    Returns:
+        ``(tick, drift_alarms)``: the tick (None while the evaluator
+        warms up) and the drift cells first raised on it.
+    """
+    for category in sorted(batches):
+        rows = batches[category]
+        evaluator.observe_rows(category, rows)
+        if drift is not None:
+            drift.observe(category, rows)
+    if not evaluator.ready:
+        return None, []
+    tick = evaluator.tick()
+    drift_alarms = ([] if drift is None else
+                    drift.check(evaluator.moments, evaluator.events,
+                                tick.tick))
+    return tick, drift_alarms
+
+
 def replay_stream(distributions, batch_size: int = 25,
                   confidence: float = 0.95,
                   method: str = "welch") -> StreamingEvaluator:
     """Replay retained distributions through a streaming evaluator.
 
     Feeds each category's recorded readings in arrival order, ``batch_size``
-    at a time, ticking after every round — the offline twin of a live
+    at a time, through :func:`fold_round` — the offline twin of a live
     ``MeasurementSession.stream`` run.  Used by ``repro report`` to derive
     alarm-latency metrics from an already-measured run.
 
@@ -464,12 +496,10 @@ def replay_stream(distributions, batch_size: int = 25,
                for category in categories}
     total = max(distributions.sample_count(c) for c in categories)
     for start in range(0, total, batch_size):
-        for category in categories:
-            rows = columns[category][start:start + batch_size]
-            if rows.shape[0]:
-                evaluator.observe_rows(category, rows)
-        if evaluator.ready:
-            evaluator.tick()
+        fold_round(evaluator, {
+            category: rows[start:start + batch_size]
+            for category, rows in columns.items()
+            if rows.shape[0] > start})
     return evaluator
 
 

@@ -443,7 +443,7 @@ class MeasurementSession:
             The :class:`~repro.core.streaming.StreamingEvaluator` after
             the full stream (query ``report()``, ``alarm_latency()``...).
         """
-        from ..core.streaming import StreamingEvaluator
+        from ..core.streaming import StreamingEvaluator, fold_round
         from ..uarch.events import HpcEvent
 
         if samples_per_category < 2:
@@ -531,31 +531,22 @@ class MeasurementSession:
                         HpcEvent.from_name(str(name))
                         for name in np.asarray(state["events"]).tolist())
                     evaluator.merge_state(state, events=events)
+                    tick = evaluator.tick() if evaluator.ready else None
                 else:
+                    batches = {}
                     for category in categories:
                         readings = self.measure_category(
                             round_samples[category], category=category,
                             index_base=offset)
                         obs.inc("measurement.samples", len(readings),
                                 category=category)
-                        evaluator.observe(category, readings)
-                        if drift is not None:
-                            events = evaluator.events
-                            rows = np.empty((len(readings), len(events)),
-                                            dtype=np.float64)
-                            for i, counts in enumerate(readings):
-                                for j, event in enumerate(events):
-                                    rows[i, j] = counts[event]
-                            drift.observe(category, rows)
+                        batches[category] = evaluator.rows_from_readings(
+                            readings)
+                    tick, _ = fold_round(evaluator, batches, drift)
                 rounds += 1
                 obs.inc("stream.rounds")
-                if evaluator.ready:
-                    tick = evaluator.tick()
-                    if drift is not None:
-                        drift.check(evaluator.moments, evaluator.events,
-                                    tick.tick)
-                    if on_tick is not None:
-                        on_tick(tick)
+                if tick is not None and on_tick is not None:
+                    on_tick(tick)
                 if checkpointing:
                     self.cache.put_arrays(state_key, evaluator.state(),
                                           kind="stream-state")

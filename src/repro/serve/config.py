@@ -9,10 +9,9 @@ dataclass so a config embeds losslessly into run reports and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.alarm import AlarmPolicy, PAPER_POLICY
 from ..core.sequential import SPENDING_SCHEMES
 from ..errors import ConfigError
 from ..uarch.events import ALL_EVENTS, HpcEvent
@@ -73,10 +72,13 @@ class ServeConfig:
             ``tenants * categories * capacity * batch_size * events * 8``
             bytes of rows.
         spending: Alpha-spending scheme of the resident alarm layer
-            (:func:`~repro.core.sequential.spend_alpha`).
+            (:func:`~repro.core.sequential.spend_alpha`).  Tick ``t``
+            alarms when any (pair, event) cell of the tick's p-value
+            array has ``p < spend_alpha(alpha, t) / cells`` — the paper's
+            any-rejection rule at a Bonferroni share of the spent level.
+            The test is well defined at every tick, so tenants run
+            indefinitely (they no longer die at tick 42–46).
         alpha: Lifetime false-alarm budget of the spending alarm layer.
-        policy: Rejection-count policy applied to each spending-layer
-            report before an operational leakage alarm is raised.
         drift_window: Trailing rows per category for drift alarms.
         drift_threshold: |z| at which a drift cell alarms (None disables
             drift monitoring).
@@ -94,7 +96,6 @@ class ServeConfig:
     queue_capacity: int = 8
     spending: str = "geometric"
     alpha: float = 0.05
-    policy: AlarmPolicy = field(default_factory=lambda: PAPER_POLICY)
     drift_window: int = 32
     drift_threshold: Optional[float] = None
     state_dir: Optional[str] = None

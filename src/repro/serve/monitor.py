@@ -3,36 +3,39 @@
 A :class:`TenantMonitor` owns exactly the machinery one ``repro stream``
 run owns — a :class:`~repro.core.streaming.StreamingEvaluator` plus an
 optional :class:`~repro.core.drift.DriftMonitor` — and folds measurement
-rounds into it in a canonical order: **sorted category order, then one
-tick**.  Because per-category moment accumulators are independent and the
-tick points coincide, a daemon that ingests the same row sequence as an
-offline replay produces bit-identical t statistics, p-values and
-first-detection records, no matter how the rounds were interleaved on the
-wire.  That equivalence is the daemon's correctness contract and is
-enforced by test and bench.
+rounds into it through :func:`~repro.core.streaming.fold_round`: **sorted
+category order, then one tick**.  Because per-category moment
+accumulators are independent and the tick points coincide, a daemon that
+ingests the same row sequence as an offline replay produces bit-identical
+t statistics, p-values and first-detection records, no matter how the
+rounds were interleaved on the wire.  That equivalence is the daemon's
+correctness contract and is enforced by test and bench.
 
 On top of the stream-identical detection bookkeeping sits the *resident*
 alarm layer: a stream that runs forever cannot re-test at a fixed alpha
-(every leak-free tenant would eventually alarm), so each tick ``t`` is
-re-tested at the spent level :func:`~repro.core.sequential.spend_alpha`
-``(alpha, t)``, Bonferroni-split across the tick's (pair, event) cells,
-and the verdict is passed through the configured
-:class:`~repro.core.alarm.AlarmPolicy`.  A union bound — across ticks by
-the spending series, across cells by the split — caps the lifetime
-false-alarm probability of this layer at ``alpha``.
+(every leak-free tenant would eventually alarm), so tick ``t`` spends
+:func:`~repro.core.sequential.spend_alpha` ``(alpha, t)`` and splits it
+evenly across the tick's (pair, event) cells.  The paper's rule — alarm
+when any null hypothesis is rejected — then reads directly off the tick's
+own p-value array: the round alarms when any ``p < alpha_spent / cells``.
+No second t/p pass runs, and the test stays well defined however small
+the spent level gets, so tenants run for thousands of ticks (they used to
+die at tick 42–46, once ``1 - alpha_cell`` rounded to 1.0).  A union
+bound — across ticks by the spending series, across cells by the split —
+caps the lifetime false-alarm probability of this layer at ``alpha``.
+Alarm state is O(1): the first alarm plus a counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.alarm import Alarm
 from ..core.drift import DriftAlarm, DriftMonitor
 from ..core.sequential import spend_alpha
-from ..core.streaming import AlarmRecord, StreamingEvaluator
+from ..core.streaming import AlarmRecord, StreamingEvaluator, fold_round
 from ..errors import EvaluationError
 from .config import ServeConfig, TenantSpec
 
@@ -72,8 +75,8 @@ class RoundOutcome:
         tick: Evaluation tick index (None while the evaluator warms up).
         new_detections: First-detection records raised on this tick
             (identical to what ``repro stream`` would record).
-        leakage_alarm: The spending-layer policy decision (None before
-            the first tick).
+        alarmed: True when the spending alarm layer fired on this round
+            (some cell's ``p < spent_alpha / cells``).
         spent_alpha: Significance level the spending layer tested at.
         drift_alarms: Drift cells first raised on this tick.
     """
@@ -82,15 +85,9 @@ class RoundOutcome:
     round_index: int
     tick: Optional[int]
     new_detections: Tuple[AlarmRecord, ...] = ()
-    leakage_alarm: Optional[Alarm] = None
+    alarmed: bool = False
     spent_alpha: Optional[float] = None
     drift_alarms: Tuple[DriftAlarm, ...] = ()
-
-    @property
-    def alarmed(self) -> bool:
-        """True when the spending alarm layer fired on this round."""
-        return bool(self.leakage_alarm is not None
-                    and self.leakage_alarm.triggered)
 
 
 class TenantMonitor:
@@ -98,7 +95,7 @@ class TenantMonitor:
 
     Args:
         spec: The tenant being monitored.
-        config: Daemon-wide settings (confidence, spending, policy...).
+        config: Daemon-wide settings (confidence, spending, alpha...).
     """
 
     def __init__(self, spec: TenantSpec, config: ServeConfig):
@@ -112,15 +109,15 @@ class TenantMonitor:
             self.drift = DriftMonitor(window=config.drift_window,
                                       threshold=config.drift_threshold)
         self.rounds_ingested = 0
-        self._alarm_history: List[RoundOutcome] = []
+        self.leakage_alarm_count = 0
         self._first_leakage_alarm: Optional[RoundOutcome] = None
 
     def ingest_round(self, round_: MeasurementRound) -> RoundOutcome:
-        """Fold one round in: sorted categories, then a single tick.
+        """Fold one round in through :func:`~repro.core.streaming.fold_round`.
 
-        The canonical fold order is load-bearing: it is exactly the order
-        ``MeasurementSession.stream`` and ``replay_stream`` use, which is
-        what makes daemon verdicts bit-identical to offline ones.
+        The canonical fold order is load-bearing: it is the one function
+        ``MeasurementSession.stream`` and ``replay_stream`` call too, which
+        is what makes daemon verdicts bit-identical to offline ones.
 
         Ingestion is all-or-nothing: every batch is validated and
         converted before the first accumulator is touched, so a rejected
@@ -156,45 +153,31 @@ class TenantMonitor:
                     f"category {category} rows have shape {rows.shape}, "
                     f"expected (B, {columns})")
             batches[category] = rows
-        # Validated float64 (B, E) arrays only from here on: the folds
-        # below are pure accumulator arithmetic and cannot raise.
-        for category, rows in batches.items():
-            self.evaluator.observe_rows(category, rows)
-            if self.drift is not None:
-                self.drift.observe(category, rows)
+        # Validated float64 (B, E) arrays only from here on: the fold
+        # below is pure accumulator arithmetic and cannot raise.
+        tick, drift_alarms = fold_round(self.evaluator, batches, self.drift)
         self.rounds_ingested += 1
-        if not self.evaluator.ready:
+        if tick is None:
             return RoundOutcome(tenant=self.spec.tenant,
                                 round_index=round_.index, tick=None)
-        tick = self.evaluator.tick()
         alpha = spend_alpha(self.config.alpha, tick.tick,
                             scheme=self.config.spending)
         # The spent budget covers the tick's whole (pair, event) family:
         # each cell is tested at a Bonferroni share, so the union bound
         # holds across cells within a tick as well as across ticks.
-        cells = len(tick.pairs) * len(self.evaluator.events)
-        alpha_cell = alpha / cells if cells else 0.0
-        # Degenerate spent budget: p-values can never beat alpha == 0.0,
-        # so skip the re-test instead of asking for confidence == 1.0.
-        leakage_alarm = None
-        if alpha_cell > 0.0:
-            report = self.evaluator.report(confidence=1.0 - alpha_cell)
-            leakage_alarm = self.config.policy.decide(report)
-        drift_alarms: Tuple[DriftAlarm, ...] = ()
-        if self.drift is not None:
-            drift_alarms = tuple(self.drift.check(
-                self.evaluator.moments, self.evaluator.events, tick.tick))
+        alpha_cell = alpha / tick.p_value.size
+        alarmed = bool((tick.p_value < alpha_cell).any())
         outcome = RoundOutcome(
             tenant=self.spec.tenant,
             round_index=round_.index,
             tick=tick.tick,
             new_detections=tuple(tick.new_detections),
-            leakage_alarm=leakage_alarm,
+            alarmed=alarmed,
             spent_alpha=alpha,
-            drift_alarms=drift_alarms,
+            drift_alarms=tuple(drift_alarms),
         )
-        if outcome.alarmed:
-            self._alarm_history.append(outcome)
+        if alarmed:
+            self.leakage_alarm_count += 1
             if self._first_leakage_alarm is None:
                 self._first_leakage_alarm = outcome
         return outcome
@@ -238,6 +221,7 @@ class TenantMonitor:
             "leakage_alarm_tick": (
                 self._first_leakage_alarm.tick
                 if self._first_leakage_alarm else None),
+            "leakage_alarm_count": self.leakage_alarm_count,
             "drift_alarm": self.drift_alarmed,
             "drift_alarms": (self.drift.alarm_rows()
                              if self.drift is not None else []),
@@ -249,20 +233,24 @@ class TenantMonitor:
     # ------------------------------------------------------------------
 
     def state(self) -> Dict[str, np.ndarray]:
-        """Npz-able monitor state (evaluator, drift, alarm history).
+        """Npz-able monitor state (evaluator, drift, alarm summary).
 
         Alongside the evaluator accumulators and drift windows/alarm
-        table, the spending-layer alarm history persists as ``(tick,
-        round_index)`` rows so :attr:`leakage_alarmed` and the summary's
-        first-alarm tick survive a checkpoint/resume.
+        table, the spending layer persists its first alarm as one
+        ``(tick, round_index)`` row plus the alarm count, so
+        :attr:`leakage_alarmed`, the first-alarm tick and the count
+        survive a checkpoint/resume in a state whose size is flat in
+        stream length.
         """
         out = self.evaluator.state()
         out["serve/rounds"] = np.asarray([self.rounds_ingested],
                                          dtype=np.int64)
-        if self._alarm_history:
+        first = self._first_leakage_alarm
+        if first is not None:
             out["serve/alarm_rounds"] = np.asarray(
-                [[outcome.tick, outcome.round_index]
-                 for outcome in self._alarm_history], dtype=np.int64)
+                [[first.tick, first.round_index]], dtype=np.int64)
+            out["serve/alarm_count"] = np.asarray(
+                [self.leakage_alarm_count], dtype=np.int64)
         if self.drift is not None:
             out.update(self.drift.state())
         return out
@@ -272,12 +260,10 @@ class TenantMonitor:
                    spec: TenantSpec, config: ServeConfig) -> "TenantMonitor":
         """Rebuild a monitor from persisted :meth:`state` arrays.
 
-        Restored alarm-history records carry the tick, round index and
-        (recomputed) spent alpha of each alarmed round; the full
-        :class:`~repro.core.alarm.Alarm` decision object is not
-        persisted, so :attr:`leakage_alarmed`, the first-alarm tick and
-        the alarm count survive the round trip while the per-alarm
-        report details do not.
+        The restored first alarm carries its tick, round index and
+        (recomputed) spent alpha.  Older checkpoints stored one
+        ``serve/alarm_rounds`` row per alarmed round and no count; their
+        first row is the first alarm and their row count the alarm count.
         """
         monitor = cls(spec, config)
         monitor.evaluator = StreamingEvaluator.from_state(
@@ -286,14 +272,17 @@ class TenantMonitor:
             monitor.rounds_ingested = int(
                 np.asarray(arrays["serve/rounds"])[0])
         if "serve/alarm_rounds" in arrays:
-            rows = np.asarray(arrays["serve/alarm_rounds"], dtype=np.int64)
-            for tick, round_index in rows.tolist():
-                monitor._alarm_history.append(RoundOutcome(
-                    tenant=spec.tenant, round_index=int(round_index),
-                    tick=int(tick),
-                    spent_alpha=spend_alpha(config.alpha, int(tick),
-                                            scheme=config.spending)))
-            monitor._first_leakage_alarm = monitor._alarm_history[0]
+            rows = np.asarray(arrays["serve/alarm_rounds"],
+                              dtype=np.int64).reshape(-1, 2)
+            tick, round_index = rows[0].tolist()
+            monitor._first_leakage_alarm = RoundOutcome(
+                tenant=spec.tenant, round_index=round_index, tick=tick,
+                alarmed=True,
+                spent_alpha=spend_alpha(config.alpha, tick,
+                                        scheme=config.spending))
+            monitor.leakage_alarm_count = (
+                int(np.asarray(arrays["serve/alarm_count"])[0])
+                if "serve/alarm_count" in arrays else len(rows))
         if monitor.drift is not None:
             monitor.drift = DriftMonitor.from_state(
                 arrays, window=config.drift_window,

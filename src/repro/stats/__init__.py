@@ -58,7 +58,6 @@ from .special import (
     regularized_incomplete_beta,
 )
 from .streaming import (
-    MomentAccumulator,
     MomentColumns,
     SlidingWindowMoments,
     StreamingMoments,
@@ -92,7 +91,6 @@ __all__ = [
     "binned_mutual_information",
     "Histogram",
     "MannWhitneyResult",
-    "MomentAccumulator",
     "MomentColumns",
     "Normal",
     "PairwiseTestArrays",

@@ -6,7 +6,6 @@ per verdict.  A monitoring service cannot afford either.  This module keeps
 only the Welford sufficient statistics ``(count, mean, M2)`` per stream and
 updates them incrementally:
 
-* :class:`MomentAccumulator` — one scalar stream;
 * :class:`MomentColumns` — one category's row of event columns, updated a
   batch at a time with vectorized NumPy arithmetic;
 * :class:`StreamingMoments` — the full category × event matrix, convertible
@@ -33,14 +32,13 @@ accumulator loses every significant digit outright.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import StatisticsError
 
 __all__ = [
-    "MomentAccumulator",
     "MomentColumns",
     "SlidingWindowMoments",
     "StreamingMoments",
@@ -73,80 +71,6 @@ def _merge_moments(n_a: float, mean_a, m2_a, n_b: float, mean_b, m2_b):
     mean = mean_a + delta * (n_b / total)
     m2 = m2_a + m2_b + delta * delta * (n_a * n_b / total)
     return total, mean, m2
-
-
-class MomentAccumulator:
-    """Welford accumulator for one scalar stream.
-
-    Attributes:
-        count: Observations folded in so far.
-        mean: Running mean.
-        m2: Running sum of squared deviations from the mean.
-    """
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self, count: int = 0, mean: float = 0.0, m2: float = 0.0):
-        if count < 0:
-            raise StatisticsError(f"count must be >= 0, got {count}")
-        if m2 < 0.0:
-            raise StatisticsError(f"M2 must be >= 0, got {m2}")
-        self.count = int(count)
-        self.mean = float(mean)
-        self.m2 = float(m2)
-
-    def push(self, value: float) -> None:
-        """Fold one observation in (classic Welford update)."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold a batch of observations in (one vectorized Chan merge)."""
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray)
-                         else values, dtype=np.float64).ravel()
-        if arr.size == 0:
-            return
-        b_mean = arr.mean()
-        centered = arr - b_mean
-        b_m2 = float(centered @ centered)
-        self.count, self.mean, self.m2 = _merge_moments(
-            self.count, self.mean, self.m2, arr.size, float(b_mean), b_m2)
-        self.count = int(self.count)
-
-    def merge(self, other: "MomentAccumulator") -> None:
-        """Combine another accumulator's state into this one (Chan merge)."""
-        self.count, self.mean, self.m2 = _merge_moments(
-            self.count, self.mean, self.m2,
-            other.count, other.mean, other.m2)
-        self.count = int(self.count)
-
-    @property
-    def variance(self) -> float:
-        """Unbiased (ddof=1) sample variance of everything folded in."""
-        if self.count < 2:
-            raise StatisticsError(
-                f"variance needs >= 2 observations, got {self.count}")
-        return self.m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return float(np.sqrt(self.variance))
-
-    def state(self) -> Tuple[int, float, float]:
-        """Transportable ``(count, mean, m2)`` triple."""
-        return (self.count, self.mean, self.m2)
-
-    @classmethod
-    def from_state(cls, state: Tuple[int, float, float]) -> "MomentAccumulator":
-        """Rebuild from a :meth:`state` triple."""
-        return cls(*state)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"MomentAccumulator(count={self.count}, mean={self.mean!r}, "
-                f"m2={self.m2!r})")
 
 
 class MomentColumns:

@@ -355,6 +355,20 @@ class TestServeCommand:
             assert row["leakage_alarm"] is True
             assert row["p95_ingest_ms"] >= 0.0
 
+    def test_serve_runs_past_the_tick_46_crash(self, tmp_path, capsys):
+        # Regression: the default geometric spending made every tenant
+        # raise at tick 46 and fail after its consumer restarts.
+        import json
+
+        out_path = tmp_path / "serve.json"
+        assert main(["serve", "--tenants", "2", "--rounds", "60",
+                     "--out", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("leak_alarm=yes") == 2
+        for row in json.loads(out_path.read_text())["per_tenant"]:
+            assert row["rounds"] == 60
+            assert row["restarts"] == 0
+
     def test_serve_state_dir_round_trip(self, tmp_path, capsys):
         state = tmp_path / "state"
         base = ["serve", "--tenants", "1", "--rounds", "4",

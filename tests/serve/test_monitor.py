@@ -1,8 +1,14 @@
 """Tests for TenantMonitor: stream-equivalence, alarms, persistence."""
 
+import io
+
 import numpy as np
 import pytest
 
+from repro.core.alarm import PAPER_POLICY
+from repro.core.evaluator import Evaluator
+from repro.core.leakage import LeakageReport
+from repro.core.sequential import spend_alpha
 from repro.core.streaming import StreamingEvaluator
 from repro.errors import ConfigError, EvaluationError
 from repro.serve import (
@@ -31,6 +37,25 @@ def offline_replay(spec, config, rounds):
         if evaluator.ready:
             evaluator.tick()
     return evaluator
+
+
+def batch_policy_alarm(monitor, alpha_cell):
+    """The paper policy over batch results at confidence 1 - alpha_cell."""
+    evaluator = monitor.evaluator
+    stats = evaluator.moments.to_sufficient_stats(evaluator.events)
+    batch = Evaluator(confidence=1.0 - alpha_cell, method=evaluator.method)
+    report = LeakageReport(
+        results=batch.results_from_stats(stats, evaluator.events),
+        confidence=1.0 - alpha_cell, method=evaluator.method,
+        categories=list(stats.categories), events=list(evaluator.events),
+        distributions=None)
+    return PAPER_POLICY.decide(report).triggered
+
+
+def serialized_size(state):
+    buffer = io.BytesIO()
+    np.savez(buffer, **state)
+    return len(buffer.getvalue())
 
 
 class TestStreamEquivalence:
@@ -100,8 +125,36 @@ class TestAlarms:
             for i in range(6)]
         assert monitor.leakage_alarmed
         first = monitor.first_leakage_alarm
-        assert first is not None and first.leakage_alarm.triggered
+        assert first is not None and first.alarmed
         assert outcomes[first.round_index].alarmed
+
+    @pytest.mark.parametrize("categories", [3, 10])
+    @pytest.mark.parametrize("spending", ["geometric", "harmonic"])
+    def test_array_decision_matches_batch_paper_policy(self, categories,
+                                                       spending):
+        # The batch Evaluator + PAPER_POLICY stays the reference for the
+        # array decision on every tick where it is still defined.  A
+        # 0.6-sigma mean span across the categories gives both quiet and
+        # alarmed ticks, so both verdicts are compared.
+        spec = TenantSpec("t", categories=tuple(range(categories)))
+        config = make_config(tenants=(spec,), spending=spending)
+        monitor = TenantMonitor(spec, config)
+        rng = np.random.default_rng(23 + categories)
+        verdicts = set()
+        for i in range(60):
+            batches = {c: rng.normal(
+                1000.0 + 24.0 * c / (categories - 1), 40.0,
+                size=(config.batch_size, len(spec.events)))
+                for c in spec.categories}
+            outcome = monitor.ingest_round(MeasurementRound(
+                tenant="t", index=i, batches=batches))
+            cells = len(spec.events) * categories * (categories - 1) // 2
+            alpha_cell = outcome.spent_alpha / cells
+            if 1.0 - alpha_cell < 1.0:
+                assert outcome.alarmed \
+                    == batch_policy_alarm(monitor, alpha_cell), outcome.tick
+                verdicts.add(outcome.alarmed)
+        assert verdicts == {False, True}
 
     def test_spent_alpha_decays_with_ticks(self):
         config = make_config()
@@ -151,6 +204,48 @@ class TestAlarms:
         monitor = TenantMonitor(make_config().tenants[0], make_config())
         assert monitor.drift is None
         assert not monitor.drift_alarmed
+
+
+class TestRunsForever:
+    """Regressions for the resident monitor at thousands of ticks."""
+
+    @pytest.mark.parametrize("spending", ["geometric", "harmonic"])
+    def test_leaky_tenant_runs_2000_ticks_in_flat_state(self, spending):
+        # Regression: geometric spending crashed every tenant at tick 46,
+        # once 1 - alpha_cell rounded to 1.0, and the per-alarm history
+        # made the checkpoint grow with every alarmed round.
+        config = make_config(spending=spending, batch_size=4,
+                             drift_threshold=5.0)
+        spec = config.tenants[0]
+        monitor = TenantMonitor(spec, config)
+        load = SyntheticTenantLoad(spec, seed=24)
+        sizes = {}
+        for i in range(2000):
+            outcome = monitor.ingest_round(MeasurementRound(
+                tenant="t", index=i,
+                batches=load.round_batches(i, config.batch_size)))
+            if outcome.tick in (100, 2000):
+                sizes[outcome.tick] = (monitor.memory_bytes(),
+                                       serialized_size(monitor.state()))
+        assert monitor.evaluator.ticks == 2000
+        assert sizes[100] == sizes[2000]
+        assert monitor.leakage_alarm_count > 1000
+
+    def test_ten_category_tenant_runs_past_tick_42(self):
+        # Regression: with 10 categories (360 cells) the crash came at
+        # tick 42.
+        spec = TenantSpec("t", categories=tuple(range(10)))
+        config = make_config(tenants=(spec,), batch_size=4)
+        monitor = TenantMonitor(spec, config)
+        load = SyntheticTenantLoad(spec, seed=25)
+        for i in range(80):
+            outcome = monitor.ingest_round(MeasurementRound(
+                tenant="t", index=i,
+                batches=load.round_batches(i, config.batch_size)))
+        assert outcome.tick == 80
+        assert outcome.alarmed
+        assert monitor.leakage_alarm_count == monitor.rounds_ingested \
+            - monitor.first_leakage_alarm.round_index
 
 
 class TestValidation:
@@ -273,6 +368,47 @@ class TestPersistence:
         assert set(got) == set(want)
         for key in want:
             assert np.array_equal(got[key], want[key]), key
+
+    def test_checkpoint_holds_one_alarm_row_and_a_count(self):
+        config = make_config()
+        spec = config.tenants[0]
+        monitor = TenantMonitor(spec, config)
+        load = SyntheticTenantLoad(spec, seed=26)
+        for i in range(12):
+            monitor.ingest_round(MeasurementRound(
+                tenant="t", index=i,
+                batches=load.round_batches(i, config.batch_size)))
+        assert monitor.leakage_alarm_count > 1
+        state = monitor.state()
+        assert state["serve/alarm_rounds"].shape == (1, 2)
+        restored = TenantMonitor.from_state(state, spec, config)
+        assert restored.leakage_alarm_count == monitor.leakage_alarm_count
+
+    def test_restores_older_per_alarm_history_format(self):
+        # Older checkpoints stored one (tick, round_index) row per
+        # alarmed round and no count.
+        config = make_config()
+        spec = config.tenants[0]
+        monitor = TenantMonitor(spec, config)
+        load = SyntheticTenantLoad(spec, seed=27)
+        for i in range(6):
+            monitor.ingest_round(MeasurementRound(
+                tenant="t", index=i,
+                batches=load.round_batches(i, config.batch_size)))
+        state = monitor.state()
+        del state["serve/alarm_count"]
+        state["serve/alarm_rounds"] = np.asarray(
+            [[3, 3], [4, 4], [6, 5]], dtype=np.int64)
+
+        restored = TenantMonitor.from_state(state, spec, config)
+        assert restored.leakage_alarmed
+        first = restored.first_leakage_alarm
+        assert (first.tick, first.round_index) == (3, 3)
+        assert first.alarmed
+        assert first.spent_alpha == spend_alpha(config.alpha, 3)
+        assert restored.leakage_alarm_count == 3
+        assert restored.summary()["leakage_alarm_tick"] == 3
+        assert restored.state()["serve/alarm_rounds"].tolist() == [[3, 3]]
 
     def test_drift_alarms_survive_round_trip_and_do_not_refire(self):
         # Regression: the drift first-detection table was dropped by

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import StatisticsError
 from repro.stats.streaming import (
-    MomentAccumulator,
     MomentColumns,
     SlidingWindowMoments,
     StreamingMoments,
@@ -18,121 +17,6 @@ values_strategy = st.lists(
     st.floats(min_value=-1e9, max_value=1e9, allow_nan=False,
               allow_infinity=False),
     min_size=2, max_size=60)
-
-
-class TestMomentAccumulator:
-    def test_push_matches_numpy(self, rng=None):
-        rng = np.random.default_rng(7)
-        values = rng.normal(100.0, 5.0, size=123)
-        acc = MomentAccumulator()
-        for value in values:
-            acc.push(value)
-        assert acc.count == values.size
-        assert acc.mean == pytest.approx(values.mean(), rel=1e-12)
-        assert acc.variance == pytest.approx(values.var(ddof=1), rel=1e-12)
-        assert acc.std == pytest.approx(values.std(ddof=1), rel=1e-12)
-
-    def test_extend_matches_push(self):
-        rng = np.random.default_rng(8)
-        values = rng.normal(0.0, 1.0, size=50)
-        pushed = MomentAccumulator()
-        for value in values:
-            pushed.push(value)
-        extended = MomentAccumulator()
-        extended.extend(values[:20])
-        extended.extend(values[20:])
-        assert extended.count == pushed.count
-        assert extended.mean == pytest.approx(pushed.mean, rel=1e-12)
-        assert extended.variance == pytest.approx(pushed.variance, rel=1e-12)
-
-    def test_extend_accepts_generator_and_empty(self):
-        acc = MomentAccumulator()
-        acc.extend(float(v) for v in range(5))
-        acc.extend([])
-        assert acc.count == 5
-        assert acc.mean == pytest.approx(2.0)
-
-    def test_merge_equals_concatenation(self):
-        rng = np.random.default_rng(9)
-        a, b = rng.normal(3.0, 2.0, size=(2, 40))
-        left = MomentAccumulator()
-        left.extend(a)
-        right = MomentAccumulator()
-        right.extend(b)
-        left.merge(right)
-        both = np.concatenate([a, b])
-        assert left.count == both.size
-        assert left.mean == pytest.approx(both.mean(), rel=1e-12)
-        assert left.variance == pytest.approx(both.var(ddof=1), rel=1e-12)
-
-    def test_merge_with_empty_is_identity(self):
-        acc = MomentAccumulator()
-        acc.extend([1.0, 2.0, 3.0])
-        state = acc.state()
-        acc.merge(MomentAccumulator())
-        assert acc.state() == state
-        empty = MomentAccumulator()
-        empty.merge(acc)
-        assert empty.state() == state
-
-    def test_state_round_trip(self):
-        acc = MomentAccumulator()
-        acc.extend([4.0, 5.0, 9.0])
-        clone = MomentAccumulator.from_state(acc.state())
-        assert clone.state() == acc.state()
-
-    def test_variance_needs_two(self):
-        acc = MomentAccumulator()
-        acc.push(1.0)
-        with pytest.raises(StatisticsError):
-            _ = acc.variance
-
-    def test_rejects_invalid_state(self):
-        with pytest.raises(StatisticsError):
-            MomentAccumulator(count=-1)
-        with pytest.raises(StatisticsError):
-            MomentAccumulator(count=2, mean=0.0, m2=-1e-9)
-
-    @given(values_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_property_matches_numpy(self, data):
-        arr = np.asarray(data, dtype=np.float64)
-        acc = MomentAccumulator()
-        acc.extend(arr)
-        assert acc.mean == pytest.approx(arr.mean(), rel=1e-9, abs=1e-6)
-        assert acc.variance == pytest.approx(arr.var(ddof=1),
-                                             rel=1e-9, abs=1e-6)
-
-    def test_catastrophic_cancellation_regime(self):
-        # 1e12-scale means with unit-scale deviations: a naive
-        # sum-of-squares accumulator loses every significant digit of the
-        # variance here (sum(x^2) ~ 1e24; float64 carries ~16 digits).
-        # Welford + Chan keep full precision.  Offsets are multiples of
-        # 2^-10 so ``1e12 + offset`` is exactly representable and the
-        # small-scale variance is exact ground truth.
-        # Any float64 two-pass method (numpy's included) carries a ~1e-5
-        # relative error against exact truth here, from rounding the
-        # 1e12-scale mean itself; the accumulator must stay in that class
-        # rather than join the naive accumulator's total collapse.
-        rng = np.random.default_rng(10)
-        offsets = np.round(rng.normal(0.0, 1.0, size=500) * 1024) / 1024
-        values = 1e12 + offsets
-        truth = offsets.var(ddof=1)
-
-        acc = MomentAccumulator()
-        acc.extend(values[:250])
-        other = MomentAccumulator()
-        other.extend(values[250:])
-        acc.merge(other)
-        assert acc.variance == pytest.approx(truth, rel=1e-4)
-        assert acc.variance == pytest.approx(values.var(ddof=1), rel=1e-4)
-
-        # The accumulator this module exists to replace: variance from
-        # running (sum, sum of squares) loses *every* digit in the same
-        # regime — here it rounds all the way to zero.
-        count = values.size
-        naive = ((values ** 2).sum() - count * values.mean() ** 2) / (count - 1)
-        assert abs(naive / truth - 1.0) > 1e-1
 
 
 class TestMomentColumns:
@@ -169,6 +53,81 @@ class TestMomentColumns:
         cols = MomentColumns(2)
         with pytest.raises(StatisticsError):
             cols.merge(MomentColumns(3))
+
+    def test_merge_equals_concatenation(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(3.0, 2.0, size=(2, 40, 3))
+        left = MomentColumns(3)
+        left.observe(a)
+        right = MomentColumns(3)
+        right.observe(b)
+        left.merge(right)
+        both = np.concatenate([a, b])
+        assert left.count == both.shape[0]
+        np.testing.assert_allclose(left.mean, both.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(left.variance(), both.var(axis=0, ddof=1),
+                                   rtol=1e-12)
+
+    def test_merge_with_empty_is_identity(self):
+        def state(cols):
+            return (cols.count, cols.mean.tolist(), cols.m2.tolist())
+
+        cols = MomentColumns(2)
+        cols.observe(np.asarray([[1.0, 4.0], [2.0, 5.0], [3.0, 9.0]]))
+        before = state(cols)
+        cols.merge(MomentColumns(2))
+        assert state(cols) == before
+        empty = MomentColumns(2)
+        empty.merge(cols)
+        assert state(empty) == before
+
+    def test_variance_needs_two(self):
+        cols = MomentColumns(1)
+        cols.observe(np.asarray([1.0]))
+        with pytest.raises(StatisticsError):
+            cols.variance()
+
+    @given(values_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_numpy(self, data):
+        arr = np.asarray(data, dtype=np.float64)
+        cols = MomentColumns(1)
+        cols.observe(arr[:, None])
+        assert cols.mean[0] == pytest.approx(arr.mean(), rel=1e-9, abs=1e-6)
+        assert cols.variance()[0] == pytest.approx(arr.var(ddof=1),
+                                                   rel=1e-9, abs=1e-6)
+
+    def test_catastrophic_cancellation_regime(self):
+        # 1e12-scale means with unit-scale deviations: a naive
+        # sum-of-squares accumulator loses every significant digit of the
+        # variance here (sum(x^2) ~ 1e24; float64 carries ~16 digits).
+        # Welford + Chan keep full precision.  Offsets are multiples of
+        # 2^-10 so ``1e12 + offset`` is exactly representable and the
+        # small-scale variance is exact ground truth.
+        # Any float64 two-pass method (numpy's included) carries a ~1e-5
+        # relative error against exact truth here, from rounding the
+        # 1e12-scale mean itself; the accumulator must stay in that class
+        # rather than join the naive accumulator's total collapse.
+        rng = np.random.default_rng(10)
+        offsets = np.round(rng.normal(0.0, 1.0, size=500) * 1024) / 1024
+        values = 1e12 + offsets
+        truth = offsets.var(ddof=1)
+
+        cols = MomentColumns(1)
+        cols.observe(values[:250, None])
+        other = MomentColumns(1)
+        other.observe(values[250:, None])
+        cols.merge(other)
+        variance = cols.variance()[0]
+        assert variance == pytest.approx(truth, rel=1e-4)
+        assert variance == pytest.approx(values.var(ddof=1), rel=1e-4)
+
+        # The accumulator this module exists to replace: variance from
+        # running (sum, sum of squares) loses *every* digit in the same
+        # regime — here it rounds all the way to zero.
+        count = values.size
+        naive = ((values ** 2).sum() - count * values.mean() ** 2) / (count - 1)
+        assert abs(naive / truth - 1.0) > 1e-1
 
 
 class TestStreamingMoments:
