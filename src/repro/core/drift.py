@@ -5,18 +5,19 @@ other*?".  A resident monitor also needs the complementary question — "has
 this category's stream recently drifted from its *own* history?" — because
 a deployment change (new model weights, co-tenant contention, a hardware
 event remap) shifts counter distributions long before it flips a pairwise
-verdict.  :class:`~repro.stats.streaming.SlidingWindowMoments` has carried
-the ``drift_z_scores`` machinery since the streaming engine landed, but
-nothing ever called it outside its own unit test; this module turns it
-into an operational alarm used by ``repro stream --drift-threshold`` and
-the ``repro serve`` daemon.
+verdict.  This module turns the trailing-window z-scores of
+:class:`~repro.stats.streaming.SlidingWindowMoments` into an operational
+alarm used by ``repro stream --drift-threshold`` and the ``repro serve``
+daemon.
 
-Per category a trailing window of the last ``window`` measurement rows is
-kept (O(W·e) memory).  After every evaluation tick the window mean is
-z-scored against the category's long-run Welford baseline — the same
-accumulators the leakage verdicts run on — and any |z| at or above the
-threshold raises a :class:`DriftAlarm`, recorded once per (category,
-event) cell like the leakage path's first-detection bookkeeping.
+Every category keeps a trailing window of its last ``window`` measurement
+rows, all in one ``(k, W, e)`` ring (O(k·W·e) memory).  After every
+evaluation tick all window means are z-scored in one pass against the
+categories' long-run Welford baselines — the same accumulators the leakage
+verdicts run on — and any |z| at or above the threshold raises a
+:class:`DriftAlarm`, recorded once per (category, event) cell like the
+leakage path's first-detection bookkeeping.  A mask of the already-alarmed
+cells keeps the per-tick Python work proportional to new alarms only.
 """
 
 from __future__ import annotations
@@ -78,10 +79,11 @@ class DriftMonitor:
     """Trailing-window drift detector over per-category event streams.
 
     Feed it the same measurement rows the leakage evaluator consumes
-    (:meth:`observe`), then :meth:`check` against the evaluator's long-run
-    accumulators after each tick.  Each (category, event) cell alarms at
-    most once — the first tick where the trailing window mean sits
-    ``threshold`` or more standard errors away from the long-run mean.
+    (:meth:`observe` / :meth:`observe_round`), then :meth:`check` against
+    the evaluator's long-run accumulators after each tick.  Each
+    (category, event) cell alarms at most once — the first tick where the
+    trailing window mean sits ``threshold`` or more standard errors away
+    from the long-run mean.
 
     Args:
         window: Trailing rows retained per category (>= 2).
@@ -97,23 +99,49 @@ class DriftMonitor:
                 f"threshold must be > 0, got {threshold}")
         self.window = window
         self.threshold = float(threshold)
-        self._windows: Dict[int, SlidingWindowMoments] = {}
+        self._windows: Optional[SlidingWindowMoments] = None
         self._alarms: Dict[Tuple[int, HpcEvent], DriftAlarm] = {}
+        # Alarmed cells as a (categories, events) mask, rebuilt from
+        # ``_alarms`` whenever the window categories or events change.
+        self._alarmed_key: Optional[tuple] = None
+        self._alarmed = np.zeros((0, 0), dtype=bool)
+
+    @property
+    def windows(self) -> Optional[SlidingWindowMoments]:
+        """The trailing-window ring (None before any rows)."""
+        return self._windows
 
     def observe(self, category: int, rows: np.ndarray) -> None:
         """Append one category's ``(B, E)`` measurement rows."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        window = self._windows.get(int(category))
-        if window is None:
-            window = self._windows[int(category)] = SlidingWindowMoments(
-                self.window, rows.shape[1])
-        window.observe(rows)
+        self.observe_round({int(category): rows})
+
+    def observe_round(self, batches: Mapping[int, np.ndarray]) -> None:
+        """Append one round of ``category -> (B, E)`` measurement rows."""
+        if not batches:
+            return
+        if self._windows is None:
+            columns = np.atleast_2d(next(iter(batches.values()))).shape[1]
+            self._windows = SlidingWindowMoments(self.window, columns)
+        self._windows.observe_round(batches)
+
+    def _alarmed_cells(self, events: Tuple[HpcEvent, ...]) -> np.ndarray:
+        key = (tuple(self._windows.categories), events)
+        if key != self._alarmed_key:
+            row = {category: i for i, category in enumerate(key[0])}
+            column = {event: j for j, event in enumerate(events)}
+            self._alarmed = np.zeros((len(row), len(events)), dtype=bool)
+            for category, event in self._alarms:
+                if category in row and event in column:
+                    self._alarmed[row[category], column[event]] = True
+            self._alarmed_key = key
+        return self._alarmed
 
     def check(self, baseline: StreamingMoments,
               events: Sequence[HpcEvent], tick: int) -> List[DriftAlarm]:
         """Z-score every category's window against its long-run baseline.
+
+        Categories the baseline has never observed are skipped; any other
+        failure propagates.
 
         Args:
             baseline: The long-run accumulators (normally the streaming
@@ -127,35 +155,36 @@ class DriftMonitor:
             remain available through :meth:`alarms`).
         """
         events = tuple(events)
+        windows = self._windows
+        if windows is None:
+            return []
+        usable, z_scores = windows.drift_z_scores(baseline)
+        if not usable.any():
+            return []
+        if len(events) != baseline.columns:
+            raise EvaluationError(
+                f"expected {baseline.columns} event labels, "
+                f"got {len(events)}")
+        alarmed = self._alarmed_cells(events)
+        # ``not |z| < threshold`` rather than ``|z| >= threshold``, so that
+        # a NaN score alarms too.
+        hits = ~(np.abs(z_scores) < self.threshold)
+        hits &= usable[:, None]
+        hits &= ~alarmed
         new: List[DriftAlarm] = []
-        for category in sorted(self._windows):
-            window = self._windows[category]
-            try:
-                row = baseline.row(category)
-            except Exception:
-                continue
-            # The baseline variance needs >= 2 samples; a window shorter
-            # than 2 rows has a meaningless mean estimate.
-            if row.count < 2 or window.count < 2:
-                continue
-            if len(events) != row.columns:
-                raise EvaluationError(
-                    f"expected {row.columns} event labels, "
-                    f"got {len(events)}")
-            z_scores = window.drift_z_scores(row)
-            for column, z in enumerate(z_scores):
-                if abs(z) < self.threshold:
-                    continue
-                key = (category, events[column])
-                if key in self._alarms:
-                    continue
+        if hits.any():
+            categories = windows.categories
+            filled = windows.counts
+            for row, column in zip(*np.nonzero(hits)):
+                category = categories[row]
                 alarm = DriftAlarm(
                     category=category, event=events[column],
-                    z_score=float(z), window=window.count,
-                    baseline_n=row.count, tick=tick)
-                self._alarms[key] = alarm
+                    z_score=float(z_scores[row, column]),
+                    window=int(filled[row]),
+                    baseline_n=baseline.count(category), tick=tick)
+                self._alarms[(category, events[column])] = alarm
+                alarmed[row, column] = True
                 new.append(alarm)
-        if new:
             obs.inc("drift.alarms", len(new))
             for alarm in new:
                 obs.observe("drift.z_score", abs(alarm.z_score),
@@ -178,9 +207,11 @@ class DriftMonitor:
 
     def memory_bytes(self) -> int:
         """Bytes retained by the windows (flat in stream length)."""
-        total = len(self._alarms) * 64
-        for window in self._windows.values():
-            total += window.capacity * window.columns * 8
+        total = len(self._alarms) * 64 + self._alarmed.nbytes
+        windows = self._windows
+        if windows is not None:
+            total += (len(windows.categories) * windows.capacity
+                      * windows.columns * 8)
         return total
 
     # ------------------------------------------------------------------
@@ -198,9 +229,9 @@ class DriftMonitor:
         :class:`~repro.uarch.events.HpcEvent` on restore.
         """
         out: Dict[str, np.ndarray] = {}
-        for category in sorted(self._windows):
-            for key, value in self._windows[category].state().items():
-                out[f"drift/cat{category}/{key}"] = value
+        if self._windows is not None:
+            for key, value in self._windows.state().items():
+                out[f"drift/{key}"] = value
         if self._alarms:
             alarms = self.alarms()
             out["drift/alarms/category"] = np.asarray(
@@ -222,15 +253,12 @@ class DriftMonitor:
                    window: int, threshold: float) -> "DriftMonitor":
         """Rebuild a monitor's windows from persisted :meth:`state`."""
         monitor = cls(window=window, threshold=threshold)
-        per_category: Dict[int, Dict[str, np.ndarray]] = {}
-        for key, value in arrays.items():
-            if not key.startswith("drift/cat"):
-                continue
-            cat_part, rest = key[len("drift/"):].split("/", 1)
-            per_category.setdefault(int(cat_part[3:]), {})[rest] = value
-        for category, state in per_category.items():
-            monitor._windows[category] = SlidingWindowMoments.from_state(
-                state)
+        windows = {key[len("drift/"):]: value
+                   for key, value in arrays.items()
+                   if key.startswith("drift/cat")}
+        if windows:
+            monitor._windows = SlidingWindowMoments.from_state(
+                windows, capacity=window)
         if "drift/alarms/category" in arrays:
             columns = [np.asarray(arrays[f"drift/alarms/{name}"])
                        for name in ("category", "event", "z_score",

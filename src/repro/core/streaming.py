@@ -30,7 +30,7 @@ import numpy as np
 from ..errors import EvaluationError
 from ..obs import runtime as obs
 from ..stats.streaming import StreamingMoments
-from ..stats.vectorized import batch_pairwise_tests
+from ..stats.vectorized import batch_pairwise_tests, pairwise_indices
 from ..uarch.events import EventCounts, HpcEvent
 from .drift import DriftAlarm, DriftMonitor
 from .evaluator import Evaluator
@@ -146,6 +146,11 @@ class StreamingEvaluator:
             StreamingMoments(len(self._events)) if self._events else None)
         self._detections: Dict[Tuple[int, int, HpcEvent], AlarmRecord] = {}
         self._ticks = 0
+        # Per category tuple: the tick's (category_a, category_b) pairs and
+        # a (pairs, events) mask of the cells already in ``_detections``.
+        self._pairs_key: Optional[Tuple[int, ...]] = None
+        self._pairs: List[Tuple[int, int]] = []
+        self._detected = np.zeros((0, 0), dtype=bool)
 
     # ------------------------------------------------------------------
     # Accumulation
@@ -185,9 +190,8 @@ class StreamingEvaluator:
         """True when a tick is possible (>= 2 categories, each n >= 2)."""
         if self._moments is None:
             return False
-        categories = self._moments.categories
-        return (len(categories) >= 2
-                and all(self._moments.count(c) >= 2 for c in categories))
+        counts = self._moments.counts
+        return counts.size >= 2 and int(counts.min()) >= 2
 
     def _bind_events(self, events: Sequence[HpcEvent]) -> None:
         events = tuple(events)
@@ -236,6 +240,17 @@ class StreamingEvaluator:
                 "event order unknown: pass events= on the first batch")
         self._moments.observe(category, rows)
 
+    def observe_round(self, batches: Mapping[int, np.ndarray]) -> None:
+        """Fold one round of ``category -> (B, E)`` batches in at once.
+
+        Bit-identical to :meth:`observe_rows` per category; equal-length
+        batches share one stacked moment update.
+        """
+        if self._moments is None:
+            raise EvaluationError(
+                "event order unknown: pass events= on the first batch")
+        self._moments.observe_round(batches)
+
     def merge_state(self, arrays: Mapping[str, np.ndarray],
                     events: Optional[Sequence[HpcEvent]] = None) -> None:
         """Merge a shipped shard's accumulator state (Chan merge).
@@ -264,45 +279,64 @@ class StreamingEvaluator:
     # Evaluation
     # ------------------------------------------------------------------
 
+    def _detection_cells(self, categories: Tuple[int, ...]
+                         ) -> Tuple[List[Tuple[int, int]], np.ndarray]:
+        """The tick's pairs and detected-cell mask for ``categories``.
+
+        Cached per category tuple: rebuilt from the detection table only
+        when a category first appears (or after a restore).
+        """
+        if categories != self._pairs_key:
+            ia, ib = pairwise_indices(len(categories))
+            self._pairs = [(categories[a], categories[b])
+                           for a, b in zip(ia.tolist(), ib.tolist())]
+            row = {pair: i for i, pair in enumerate(self._pairs)}
+            column = {event: j for j, event in enumerate(self._events)}
+            self._detected = np.zeros((len(self._pairs), len(self._events)),
+                                      dtype=bool)
+            for cat_a, cat_b, event in self._detections:
+                if (cat_a, cat_b) in row:
+                    self._detected[row[(cat_a, cat_b)], column[event]] = True
+            self._pairs_key = categories
+        return self._pairs, self._detected
+
     def tick(self) -> StreamTick:
         """Re-derive every pairwise verdict from the accumulator state.
 
         O(k²·e) arithmetic on the ``(mean, var, n)`` triples — stream
         length never appears.  Newly distinguishable cells are recorded as
-        :class:`AlarmRecord`\\ s with the current per-category budget.
+        :class:`AlarmRecord`\\ s with the current per-category budget; the
+        Python-level loop visits only rejected cells not detected before.
         """
         if not self.ready:
             raise EvaluationError(
                 "tick needs at least two categories with >= 2 observations "
                 "each")
         with obs.span("stream.tick", tick=self._ticks + 1,
-                      categories=len(self._moments.categories)) as span:
+                      categories=len(self._moments.counts)) as span:
             stats = self._moments.to_sufficient_stats(self._events)
             arrays = batch_pairwise_tests(stats, method=self.method)
             self._ticks += 1
             alpha = 1.0 - self.confidence
             rejected = arrays.p_value < alpha
-            rejections = int(rejected.sum())
-            pairs = [(stats.categories[ia], stats.categories[ib])
-                     for ia, ib in zip(arrays.index_a.tolist(),
-                                       arrays.index_b.tolist())]
-            samples = {category: int(stats.n[i])
-                       for i, category in enumerate(stats.categories)}
+            rejections = int(np.count_nonzero(rejected))
+            pairs, detected = self._detection_cells(stats.categories)
+            counts = self._moments.counts
+            samples = dict(zip(stats.categories, counts.tolist()))
             new_detections: List[AlarmRecord] = []
             if rejections:
+                fresh = rejected & ~detected
                 n_a = arrays.n_a
                 n_b = arrays.n_b
-                for pi, ei in zip(*np.nonzero(rejected)):
+                for pi, ei in zip(*np.nonzero(fresh)):
                     cat_a, cat_b = pairs[pi]
                     event = self._events[ei]
-                    key = (cat_a, cat_b, event)
-                    if key in self._detections:
-                        continue
                     record = AlarmRecord(
                         event=event, category_a=cat_a, category_b=cat_b,
                         detection_n=int(min(n_a[pi], n_b[pi])),
                         tick=self._ticks)
-                    self._detections[key] = record
+                    self._detections[(cat_a, cat_b, event)] = record
+                    detected[pi, ei] = True
                     new_detections.append(record)
             obs.inc("stream.ticks")
             if new_detections:
@@ -316,7 +350,7 @@ class StreamingEvaluator:
             tick=self._ticks,
             categories=list(stats.categories),
             events=self._events,
-            pairs=pairs,
+            pairs=list(pairs),
             statistic=arrays.statistic,
             p_value=arrays.p_value,
             samples=samples,
@@ -366,10 +400,16 @@ class StreamingEvaluator:
         return [record.to_dict() for record in self.alarm_latency()]
 
     def memory_bytes(self) -> int:
-        """Bytes retained by the evaluator state (flat in stream length)."""
-        detections = len(self._detections) * 64  # bounded by k²·e cells
+        """Bytes retained by the evaluator state (flat in stream length).
+
+        Counts the accumulators, the detection table (bounded by k²·e
+        cells), and the tick's cached pairs (two category ids each) and
+        detected-cell mask.
+        """
+        detections = len(self._detections) * 64
+        cache = len(self._pairs) * 2 * 8 + self._detected.nbytes
         return ((self._moments.memory_bytes() if self._moments else 0)
-                + detections)
+                + detections + cache)
 
     # ------------------------------------------------------------------
     # Persistence (checkpoint format)
@@ -434,11 +474,13 @@ def fold_round(evaluator: StreamingEvaluator,
                batches: Mapping[int, np.ndarray],
                drift: Optional[DriftMonitor] = None
                ) -> Tuple[Optional[StreamTick], List[DriftAlarm]]:
-    """Fold one round in: every category in sorted order, then one tick.
+    """Fold one round in — all categories in one stacked update — then tick.
 
-    The single home of the fold order that ``MeasurementSession.stream``,
+    The single home of the fold that ``MeasurementSession.stream``,
     :func:`replay_stream` and the ``repro serve`` tenant monitor share —
-    the order that makes daemon verdicts bit-identical to offline ones.
+    the fold that makes daemon verdicts bit-identical to offline ones.
+    Categories are independent lanes of the accumulators, so the stacked
+    update equals folding them one by one in sorted order.
 
     Args:
         evaluator: The stream's evaluator (its event order must be bound).
@@ -450,11 +492,9 @@ def fold_round(evaluator: StreamingEvaluator,
         ``(tick, drift_alarms)``: the tick (None while the evaluator
         warms up) and the drift cells first raised on it.
     """
-    for category in sorted(batches):
-        rows = batches[category]
-        evaluator.observe_rows(category, rows)
-        if drift is not None:
-            drift.observe(category, rows)
+    evaluator.observe_round(batches)
+    if drift is not None:
+        drift.observe_round(batches)
     if not evaluator.ready:
         return None, []
     tick = evaluator.tick()

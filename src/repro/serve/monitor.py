@@ -202,8 +202,16 @@ class TenantMonitor:
         return self.drift is not None and self.drift.alarm
 
     def memory_bytes(self) -> int:
-        """Evaluator + drift state bytes (flat in stream length)."""
-        total = self.evaluator.memory_bytes()
+        """Evaluator + drift + alarm state bytes (flat in stream length).
+
+        The spending layer's alarm state is the alarm counter plus, once
+        it has fired, the first alarm's tick, round index, flag and spent
+        alpha; its detection and drift records are the evaluator's and
+        drift monitor's own, already counted there.
+        """
+        total = self.evaluator.memory_bytes() + 8  # the alarm counter
+        if self._first_leakage_alarm is not None:
+            total += 4 * 8
         if self.drift is not None:
             total += self.drift.memory_bytes()
         return total

@@ -58,7 +58,6 @@ from .special import (
     regularized_incomplete_beta,
 )
 from .streaming import (
-    MomentColumns,
     SlidingWindowMoments,
     StreamingMoments,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "binned_mutual_information",
     "Histogram",
     "MannWhitneyResult",
-    "MomentColumns",
     "Normal",
     "PairwiseTestArrays",
     "SlidingWindowMoments",

@@ -6,13 +6,13 @@ per verdict.  A monitoring service cannot afford either.  This module keeps
 only the Welford sufficient statistics ``(count, mean, M2)`` per stream and
 updates them incrementally:
 
-* :class:`MomentColumns` — one category's row of event columns, updated a
-  batch at a time with vectorized NumPy arithmetic;
-* :class:`StreamingMoments` — the full category × event matrix, convertible
-  into a :class:`repro.stats.vectorized.SufficientStats` so the broadcast
+* :class:`StreamingMoments` — the full category × event matrix as ONE
+  ``(count, mean, M2)`` triple of arrays over sorted categories, updated a
+  round at a time with a single stacked Chan merge and convertible into a
+  :class:`repro.stats.vectorized.SufficientStats` so the broadcast
   Welch/Student machinery runs unchanged on ``(mean, var, n)`` triples;
-* :class:`SlidingWindowMoments` — a fixed-capacity ring buffer for drift
-  detection over the trailing window.
+* :class:`SlidingWindowMoments` — one ``(categories, W, events)`` ring of
+  the trailing rows of every category, for drift detection.
 
 Merging uses Chan et al.'s pairwise update, which combines two shards'
 ``(count, mean, M2)`` exactly (no loss of the variance information, no
@@ -20,18 +20,22 @@ catastrophic cancellation from subtracting large sums of squares).  The
 merge is *deterministic*: a fixed sequence of shards merged in a fixed
 order always yields bit-identical state, so the measurement path's
 discipline of merging per-chunk states in sorted ``(category, start)``
-order (the same rule PR 6 applies to telemetry payloads) makes results
-independent of worker scheduling.  Different shard *partitions* (e.g.
-different worker counts) agree to floating-point roundoff — at realistic
-counter magnitudes the equivalence suite pins this at 1e-9 relative on
-derived t statistics.  In the adversarial 1e12-mean/unit-variance regime
-the accumulator stays within the ~1e-5 envelope every float64 two-pass
-method shares (the rounded mean itself), where a naive sum-of-squares
-accumulator loses every significant digit outright.
+order (the same rule the telemetry merge applies to worker payloads) makes
+results independent of worker scheduling.  Categories are independent
+lanes of the arrays, so folding a round's batches in one stacked merge is
+bit-identical to folding them one category at a time.  Different shard
+*partitions* (e.g. different worker counts) agree to floating-point
+roundoff — at realistic counter magnitudes the equivalence suite pins this
+at 1e-9 relative on derived t statistics.  In the adversarial
+1e12-mean/unit-variance regime the accumulator stays within the ~1e-5
+envelope every float64 two-pass method shares (the rounded mean itself),
+where a naive sum-of-squares accumulator loses every significant digit
+outright.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,121 +43,98 @@ import numpy as np
 from ..errors import StatisticsError
 
 __all__ = [
-    "MomentColumns",
     "SlidingWindowMoments",
     "StreamingMoments",
 ]
 
 
-def _batch_moments(rows: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray]:
-    """``(count, mean, M2)`` of one batch of rows, reduced along axis 0."""
-    count = rows.shape[0]
-    mean = rows.mean(axis=0)
-    centered = rows - mean
-    m2 = np.einsum("ij,ij->j", centered, centered)
-    return count, mean, m2
+def _stack(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Equal-shape ``(B, E)`` batches as one ``(K, B, E)`` array."""
+    return np.concatenate(rows).reshape(len(rows), *rows[0].shape)
 
 
-def _merge_moments(n_a: float, mean_a, m2_a, n_b: float, mean_b, m2_b):
-    """Chan et al. pairwise combination of two ``(count, mean, M2)`` shards.
+def _batch_moments(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(mean, M2)`` of ``(K, B, E)`` stacked batches, reduced along B.
+
+    Each category's lane reduces exactly as its own ``(B, E)`` batch would,
+    so stacking changes no bit of any category's moments.
+    """
+    mean = rows.mean(axis=1)
+    centered = rows - mean[:, None, :]
+    m2 = np.einsum("kij,kij->kj", centered, centered)
+    return mean, m2
+
+
+def _merge_moments(n_a: np.ndarray, mean_a: np.ndarray, m2_a: np.ndarray,
+                   n_b: np.ndarray, mean_b: np.ndarray, m2_b: np.ndarray):
+    """Chan et al. pairwise combination of ``(count, mean, M2)`` lanes.
 
     Exact in the sense that no information is lost: the combined state is
     algebraically identical to accumulating both shards' samples into one
     stream, without ever forming a sum of squares (the quantity whose
-    cancellation destroys naive accumulators at large magnitudes).
+    cancellation destroys naive accumulators at large magnitudes).  Every
+    ``n_b`` must be positive.  A lane whose ``n_a`` is zero adopts the
+    ``b`` shard bit for bit, which keeps same-partition merges bitwise
+    reproducible.  Counts are int64, so the count ratios round exactly as
+    Python ints would for any ``n_a * n_b`` below 2**53.
     """
-    if n_a == 0:
-        return n_b, mean_b, m2_b
-    if n_b == 0:
-        return n_a, mean_a, m2_a
     total = n_a + n_b
     delta = mean_b - mean_a
-    mean = mean_a + delta * (n_b / total)
-    m2 = m2_a + m2_b + delta * delta * (n_a * n_b / total)
+    mean = mean_a + delta * (n_b / total)[:, None]
+    m2 = m2_a + m2_b + delta * delta * (n_a * n_b / total)[:, None]
+    fresh = n_a == 0
+    if fresh.any():
+        mean = np.where(fresh[:, None], mean_b, mean)
+        m2 = np.where(fresh[:, None], m2_b, m2)
     return total, mean, m2
 
 
-class MomentColumns:
-    """Welford moments of one category's ``E`` parallel event columns.
+def _as_rows(rows, columns: int) -> np.ndarray:
+    """``rows`` as a float64 ``(B, columns)`` array (1-D promoted)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    if rows.ndim != 2 or rows.shape[1] != columns:
+        raise StatisticsError(
+            f"expected rows of {columns} columns, got array of "
+            f"shape {rows.shape}")
+    return rows
 
-    Batches arrive as ``(B, E)`` arrays (one row per measurement, one
-    column per event) and are folded in with a single vectorized Chan
-    merge, so the per-batch cost is O(B·E) array arithmetic with no
-    Python-level per-sample loop.
 
-    Args:
-        columns: Number of parallel columns (monitored events).
-    """
+def _parse_category_state(arrays: Mapping[str, np.ndarray]
+                          ) -> Dict[int, Dict[str, np.ndarray]]:
+    """Group ``cat<k>/<field>`` arrays by category (other keys ignored)."""
+    fields: Dict[int, Dict[str, np.ndarray]] = {}
+    for key, values in arrays.items():
+        if "/" not in key or not key.startswith("cat"):
+            continue
+        cat_part, field = key.split("/", 1)
+        try:
+            category = int(cat_part[3:])
+        except ValueError:
+            continue
+        fields.setdefault(category, {})[field] = np.asarray(values)
+    return fields
 
-    __slots__ = ("count", "mean", "m2")
 
-    def __init__(self, columns: int):
-        if columns < 1:
-            raise StatisticsError(f"need >= 1 column, got {columns}")
-        self.count = 0
-        self.mean = np.zeros(columns, dtype=np.float64)
-        self.m2 = np.zeros(columns, dtype=np.float64)
-
-    @property
-    def columns(self) -> int:
-        """Number of parallel columns."""
-        return self.mean.shape[0]
-
-    def observe(self, rows: np.ndarray) -> None:
-        """Fold a ``(B, E)`` batch of rows in."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.ndim != 2 or rows.shape[1] != self.columns:
-            raise StatisticsError(
-                f"expected rows of {self.columns} columns, got array of "
-                f"shape {rows.shape}")
-        if rows.shape[0] == 0:
-            return
-        b_count, b_mean, b_m2 = _batch_moments(rows)
-        if self.count == 0:
-            # Bit-exact adoption: a shard's state is exactly its own batch
-            # moments, which keeps same-partition merges bitwise
-            # reproducible.
-            self.count = b_count
-            self.mean = b_mean
-            self.m2 = b_m2
-            return
-        self.count, self.mean, self.m2 = _merge_moments(
-            self.count, self.mean, self.m2, b_count, b_mean, b_m2)
-        self.count = int(self.count)
-
-    def merge(self, other: "MomentColumns") -> None:
-        """Combine another shard's columns into this one (Chan merge)."""
-        if other.columns != self.columns:
-            raise StatisticsError(
-                f"cannot merge {other.columns} columns into {self.columns}")
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean.copy()
-            self.m2 = other.m2.copy()
-            return
-        self.count, self.mean, self.m2 = _merge_moments(
-            self.count, self.mean, self.m2,
-            other.count, other.mean, other.m2)
-        self.count = int(self.count)
-
-    def variance(self, ddof: int = 1) -> np.ndarray:
-        """Per-column sample variance of everything folded in."""
-        if self.count <= ddof:
-            raise StatisticsError(
-                f"variance needs more than ddof={ddof} observations, "
-                f"got {self.count}")
-        return self.m2 / (self.count - ddof)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class StreamingMoments:
     """The full category × event accumulator matrix — O(k·e) memory total.
 
-    Purely numeric: rows are keyed by integer category, columns are
-    positional (the caller owns the event labels).  Feeding ``n`` samples
-    costs O(n·e) arithmetic overall but the retained state never grows —
-    exactly the evaluator-side memory contract the streaming engine gates.
+    Purely numeric: rows are keyed by integer category (kept sorted),
+    columns are positional (the caller owns the event labels).  The state
+    is one ``(count, mean, M2)`` triple of arrays, shapes ``(k,)``,
+    ``(k, e)`` and ``(k, e)``; every update replaces the arrays rather than
+    writing into them, so the read-only arrays handed out by
+    :attr:`counts`, :attr:`mean`, :attr:`m2` and
+    :meth:`to_sufficient_stats` stay valid snapshots.  Feeding ``n``
+    samples costs O(n·e) arithmetic overall but the retained state never
+    grows — exactly the evaluator-side memory contract the streaming
+    engine gates.
 
     Args:
         columns: Number of event columns every category must provide.
@@ -163,7 +144,9 @@ class StreamingMoments:
         if columns < 1:
             raise StatisticsError(f"need >= 1 column, got {columns}")
         self._columns = columns
-        self._rows: Dict[int, MomentColumns] = {}
+        self._store((), np.zeros(0, dtype=np.int64),
+                    np.zeros((0, columns), dtype=np.float64),
+                    np.zeros((0, columns), dtype=np.float64))
 
     # ------------------------------------------------------------------
     # Accumulation
@@ -177,30 +160,96 @@ class StreamingMoments:
     @property
     def categories(self) -> List[int]:
         """Categories observed so far, sorted."""
-        return sorted(self._rows)
+        return list(self._categories)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Observations per category, in :attr:`categories` order."""
+        return self._count
+
+    @property
+    def mean(self) -> np.ndarray:
+        """Per-(category, column) means, shape ``(k, e)``."""
+        return self._mean
+
+    @property
+    def m2(self) -> np.ndarray:
+        """Per-(category, column) sums of squared deviations."""
+        return self._m2
 
     def count(self, category: int) -> int:
         """Observations folded in for ``category`` (0 when unseen)."""
-        row = self._rows.get(category)
-        return row.count if row is not None else 0
+        index = bisect_left(self._categories, category)
+        if (index < len(self._categories)
+                and self._categories[index] == category):
+            return int(self._count[index])
+        return 0
+
+    def _rows_of(self, categories: Sequence[int]):
+        """Row positions of sorted ``categories``, adding unseen ones."""
+        categories = tuple(categories)
+        if categories == self._categories:
+            return slice(None)
+        missing = set(categories) - set(self._categories)
+        if missing:
+            merged = tuple(sorted(missing.union(self._categories)))
+            at = np.searchsorted(merged, self._categories)
+            count = np.zeros(len(merged), dtype=np.int64)
+            mean = np.zeros((len(merged), self._columns), dtype=np.float64)
+            m2 = np.zeros_like(mean)
+            count[at], mean[at], m2[at] = self._count, self._mean, self._m2
+            self._store(merged, count, mean, m2)
+            if categories == merged:
+                return slice(None)
+        return np.searchsorted(self._categories, categories)
+
+    def _store(self, categories: Tuple[int, ...], count: np.ndarray,
+               mean: np.ndarray, m2: np.ndarray) -> None:
+        self._categories = categories
+        self._count = _frozen(count)
+        self._mean = _frozen(mean)
+        self._m2 = _frozen(m2)
+
+    def _fold(self, categories: Sequence[int], n_b: np.ndarray,
+              mean_b: np.ndarray, m2_b: np.ndarray) -> None:
+        """Chan-merge per-category shards into the rows of ``categories``."""
+        rows = self._rows_of(categories)
+        count, mean, m2 = _merge_moments(
+            self._count[rows], self._mean[rows], self._m2[rows],
+            n_b, mean_b, m2_b)
+        if isinstance(rows, slice):
+            self._store(self._categories, count, mean, m2)
+            return
+        new_count = self._count.copy()
+        new_mean = self._mean.copy()
+        new_m2 = self._m2.copy()
+        new_count[rows], new_mean[rows], new_m2[rows] = count, mean, m2
+        self._store(self._categories, new_count, new_mean, new_m2)
 
     def observe(self, category: int, rows: np.ndarray) -> None:
         """Fold a ``(B, E)`` batch of one category's measurements in."""
-        row = self._rows.get(int(category))
-        if row is None:
-            row = self._rows[int(category)] = MomentColumns(self._columns)
-        row.observe(rows)
+        self.observe_round({int(category): rows})
 
-    def row(self, category: int) -> MomentColumns:
-        """The long-run accumulator of one category (drift baseline).
+    def observe_round(self, batches: Mapping[int, np.ndarray]) -> None:
+        """Fold one round of ``category -> (B, E)`` batches in.
 
-        Raises:
-            StatisticsError: When the category was never observed.
+        Equal-length batches — every round of a resident tenant — go
+        through one stacked batch reduction and one Chan merge; a round of
+        mixed lengths folds length by length.  Either way each category's
+        state is bit-identical to folding its batches one at a time.
         """
-        row = self._rows.get(int(category))
-        if row is None:
-            raise StatisticsError(f"category {category} was never observed")
-        return row
+        categories = sorted(int(c) for c in batches)
+        rows = [_as_rows(batches[c], self._columns) for c in categories]
+        self._rows_of(categories)  # register even categories with no rows
+        lengths = [r.shape[0] for r in rows]
+        for length in sorted(set(lengths)):
+            if length == 0:
+                continue
+            group = [i for i, n in enumerate(lengths) if n == length]
+            mean_b, m2_b = _batch_moments(_stack([rows[i] for i in group]))
+            self._fold([categories[i] for i in group],
+                       np.full(len(group), length, dtype=np.int64),
+                       mean_b, m2_b)
 
     # ------------------------------------------------------------------
     # Merging / transport
@@ -216,11 +265,14 @@ class StreamingMoments:
         if other._columns != self._columns:
             raise StatisticsError(
                 f"cannot merge {other._columns} columns into {self._columns}")
-        for category in sorted(other._rows):
-            mine = self._rows.get(category)
-            if mine is None:
-                mine = self._rows[category] = MomentColumns(self._columns)
-            mine.merge(other._rows[category])
+        # Categories the other shard registered without rows are added
+        # here but leave any existing state untouched.
+        self._rows_of(other._categories)
+        filled = other._count > 0
+        if filled.any():
+            self._fold([c for c, f in zip(other._categories, filled) if f],
+                       other._count[filled], other._mean[filled],
+                       other._m2[filled])
 
     def state(self) -> Dict[str, np.ndarray]:
         """Flatten into ``{"cat<k>/<field>": array}`` (npz-friendly).
@@ -230,53 +282,61 @@ class StreamingMoments:
         category instead of O(n) raw samples.
         """
         out: Dict[str, np.ndarray] = {}
-        for category in self.categories:
-            row = self._rows[category]
-            out[f"cat{category}/count"] = np.asarray([row.count],
-                                                     dtype=np.int64)
-            out[f"cat{category}/mean"] = row.mean.copy()
-            out[f"cat{category}/m2"] = row.m2.copy()
+        for index, category in enumerate(self._categories):
+            out[f"cat{category}/count"] = np.asarray(
+                [self._count[index]], dtype=np.int64)
+            out[f"cat{category}/mean"] = self._mean[index].copy()
+            out[f"cat{category}/m2"] = self._m2[index].copy()
         return out
 
     @classmethod
     def from_state(cls, arrays: Mapping[str, np.ndarray],
                    columns: Optional[int] = None) -> "StreamingMoments":
         """Inverse of :meth:`state` (bit-exact round trip)."""
-        fields: Dict[int, Dict[str, np.ndarray]] = {}
-        for key, values in arrays.items():
-            if "/" not in key or not key.startswith("cat"):
-                continue
-            cat_part, field = key.split("/", 1)
-            try:
-                category = int(cat_part[3:])
-            except ValueError:
-                continue
-            fields.setdefault(category, {})[field] = np.asarray(values)
+        fields = _parse_category_state(arrays)
         if not fields and columns is None:
             raise StatisticsError("no accumulator state arrays found")
         if columns is None:
             columns = next(iter(fields.values()))["mean"].size
         moments = cls(columns)
-        for category, per_field in fields.items():
+        categories = tuple(sorted(fields))
+        count = np.zeros(len(categories), dtype=np.int64)
+        mean = np.zeros((len(categories), columns), dtype=np.float64)
+        m2 = np.zeros_like(mean)
+        for index, category in enumerate(categories):
+            per_field = fields[category]
             missing = {"count", "mean", "m2"} - set(per_field)
             if missing:
                 raise StatisticsError(
                     f"category {category} state is missing {sorted(missing)}")
-            row = MomentColumns(columns)
-            row.count = int(per_field["count"][0])
-            row.mean = np.asarray(per_field["mean"],
-                                  dtype=np.float64).reshape(columns)
-            row.m2 = np.asarray(per_field["m2"],
-                                dtype=np.float64).reshape(columns)
-            if row.count < 0 or np.any(row.m2 < 0.0):
+            count[index] = int(per_field["count"][0])
+            mean[index] = np.asarray(per_field["mean"],
+                                     dtype=np.float64).reshape(columns)
+            m2[index] = np.asarray(per_field["m2"],
+                                   dtype=np.float64).reshape(columns)
+            if count[index] < 0 or np.any(m2[index] < 0.0):
                 raise StatisticsError(
                     f"category {category} state is not a valid accumulator")
-            moments._rows[category] = row
+        moments._store(categories, count, mean, m2)
         return moments
 
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
+
+    def variance(self, ddof: int = 1) -> np.ndarray:
+        """Per-(category, column) sample variance, shape ``(k, e)``.
+
+        Raises:
+            StatisticsError: When some category has ``ddof`` or fewer
+                observations.
+        """
+        if self._count.size and self._count.min() <= ddof:
+            category = self._categories[int(self._count.argmin())]
+            raise StatisticsError(
+                f"variance needs more than ddof={ddof} observations, "
+                f"category {category} has {int(self._count.min())}")
+        return self._m2 / (self._count - ddof)[:, None]
 
     def to_sufficient_stats(self, events: Sequence) -> "SufficientStats":
         """``(n, mean, var)`` arrays in the vectorized evaluator's format.
@@ -296,43 +356,37 @@ class StreamingMoments:
         if len(events) != self._columns:
             raise StatisticsError(
                 f"expected {self._columns} event labels, got {len(events)}")
-        categories = self.categories
-        if not categories:
+        if not self._categories:
             raise StatisticsError("no categories observed yet")
-        n = np.empty(len(categories), dtype=np.float64)
-        mean = np.empty((len(categories), self._columns), dtype=np.float64)
-        var = np.empty_like(mean)
-        for index, category in enumerate(categories):
-            row = self._rows[category]
-            if row.count < 2:
-                raise StatisticsError(
-                    f"category {category} needs at least 2 observations, "
-                    f"got {row.count}")
-            n[index] = row.count
-            mean[index] = row.mean
-            var[index] = row.variance()
-        return SufficientStats(categories=tuple(categories), events=events,
-                               n=n, mean=mean, var=var)
+        if self._count.min() < 2:
+            index = int(self._count.argmin())
+            raise StatisticsError(
+                f"category {self._categories[index]} needs at least 2 "
+                f"observations, got {int(self._count[index])}")
+        return SufficientStats(
+            categories=self._categories, events=events,
+            n=self._count.astype(np.float64), mean=self._mean,
+            var=self.variance())
 
     def memory_bytes(self) -> int:
         """Bytes retained by the accumulator arrays (flat in sample count)."""
-        total = 0
-        for row in self._rows.values():
-            total += row.mean.nbytes + row.m2.nbytes + 8  # + the count slot
-        return total
+        return self._count.nbytes + self._mean.nbytes + self._m2.nbytes
 
 
 class SlidingWindowMoments:
-    """Trailing-window moments over a fixed-capacity ring buffer.
+    """Trailing-window rows of every category in one ring buffer.
 
-    Holds the last ``capacity`` rows of one category's event columns —
-    O(W·e) memory regardless of stream length — for drift detection: the
-    long-run accumulators answer "do these categories differ?", the
-    window answers "has this stream recently moved away from its own
-    long-run behaviour?".
+    Holds the last ``capacity`` rows of each category's event columns in
+    a ``(categories, capacity, columns)`` array — O(k·W·e) memory
+    regardless of stream length — for drift detection: the long-run
+    accumulators answer "do these categories differ?", the window answers
+    "has this stream recently moved away from its own long-run
+    behaviour?".  Each category keeps its own write cursor, and a round
+    whose categories all sit at the same cursor is written with one
+    stacked copy.
 
     Args:
-        capacity: Window length (rows retained).
+        capacity: Window length (rows retained per category).
         columns: Number of parallel event columns.
     """
 
@@ -341,121 +395,240 @@ class SlidingWindowMoments:
             raise StatisticsError(f"capacity must be >= 2, got {capacity}")
         if columns < 1:
             raise StatisticsError(f"need >= 1 column, got {columns}")
-        self._buffer = np.zeros((capacity, columns), dtype=np.float64)
-        self._next = 0
-        self._filled = 0
-        self.total_seen = 0
+        self._capacity = capacity
+        self._columns = columns
+        self._categories: Tuple[int, ...] = ()
+        self._rows = np.zeros((0, capacity, columns), dtype=np.float64)
+        self._next = np.zeros(0, dtype=np.int64)
+        self._filled = np.zeros(0, dtype=np.int64)
+        self._seen = np.zeros(0, dtype=np.int64)
 
     @property
     def capacity(self) -> int:
-        """Maximum rows retained."""
-        return self._buffer.shape[0]
+        """Maximum rows retained per category."""
+        return self._capacity
 
     @property
     def columns(self) -> int:
         """Number of parallel columns."""
-        return self._buffer.shape[1]
+        return self._columns
 
     @property
-    def count(self) -> int:
-        """Rows currently inside the window."""
+    def categories(self) -> List[int]:
+        """Categories observed so far, sorted."""
+        return list(self._categories)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Rows inside each category's window, in :attr:`categories` order."""
         return self._filled
 
-    def observe(self, rows: np.ndarray) -> None:
-        """Append rows, evicting the oldest beyond :attr:`capacity`."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.ndim != 2 or rows.shape[1] != self.columns:
-            raise StatisticsError(
-                f"expected rows of {self.columns} columns, got array of "
-                f"shape {rows.shape}")
-        self.total_seen += rows.shape[0]
-        capacity = self.capacity
-        if rows.shape[0] >= capacity:
-            # The batch alone overwrites the whole window.
-            self._buffer[:] = rows[-capacity:]
-            self._next = 0
-            self._filled = capacity
-            return
-        first = min(rows.shape[0], capacity - self._next)
-        self._buffer[self._next:self._next + first] = rows[:first]
-        remainder = rows.shape[0] - first
-        if remainder:
-            self._buffer[:remainder] = rows[first:]
-        self._next = (self._next + rows.shape[0]) % capacity
-        self._filled = min(capacity, self._filled + rows.shape[0])
+    def _index(self, category: int) -> int:
+        index = bisect_left(self._categories, category)
+        if (index == len(self._categories)
+                or self._categories[index] != category):
+            raise StatisticsError(f"category {category} was never observed")
+        return index
 
-    def window(self) -> np.ndarray:
-        """The retained rows, oldest first (copy)."""
-        if self._filled < self.capacity:
-            return self._buffer[:self._filled].copy()
-        return np.concatenate([self._buffer[self._next:],
-                               self._buffer[:self._next]])
+    def count(self, category: int) -> int:
+        """Rows currently inside ``category``'s window (0 when unseen)."""
+        if category not in self._categories:
+            return 0
+        return int(self._filled[self._index(category)])
+
+    def total_seen(self, category: int) -> int:
+        """Rows ever appended for ``category`` (0 when unseen)."""
+        if category not in self._categories:
+            return 0
+        return int(self._seen[self._index(category)])
+
+    def _add(self, categories: Sequence[int]) -> None:
+        missing = set(categories) - set(self._categories)
+        if not missing:
+            return
+        merged = tuple(sorted(missing.union(self._categories)))
+        at = np.searchsorted(merged, self._categories)
+        rows = np.zeros((len(merged), self._capacity, self._columns),
+                        dtype=np.float64)
+        rows[at] = self._rows
+        cursors = []
+        for old in (self._next, self._filled, self._seen):
+            new = np.zeros(len(merged), dtype=np.int64)
+            new[at] = old
+            cursors.append(new)
+        self._categories = merged
+        self._rows = rows
+        self._next, self._filled, self._seen = cursors
+
+    def _write(self, lanes, rows: np.ndarray, cursor: int) -> None:
+        """Append rows to lanes that all sit at write position ``cursor``.
+
+        ``lanes`` is one lane index with ``(B, E)`` rows, or a slice of
+        lanes with ``(K, B, E)`` rows; either way ``self._rows[lanes]``
+        is a view that is written in place.
+        """
+        capacity = self._capacity
+        length = rows.shape[-2]
+        ring = self._rows[lanes]
+        self._seen[lanes] += length
+        if length >= capacity:
+            # The batch alone overwrites the whole window.
+            ring[...] = rows[..., -capacity:, :]
+            self._next[lanes] = 0
+            self._filled[lanes] = capacity
+            return
+        first = min(length, capacity - cursor)
+        ring[..., cursor:cursor + first, :] = rows[..., :first, :]
+        if length > first:
+            ring[..., :length - first, :] = rows[..., first:, :]
+        self._next[lanes] = (cursor + length) % capacity
+        self._filled[lanes] = np.minimum(capacity,
+                                         self._filled[lanes] + length)
+
+    def observe(self, category: int, rows: np.ndarray) -> None:
+        """Append one category's rows, evicting its oldest beyond capacity."""
+        self.observe_round({int(category): rows})
+
+    def observe_round(self, batches: Mapping[int, np.ndarray]) -> None:
+        """Append one round of ``category -> (B, E)`` batches."""
+        categories = sorted(int(c) for c in batches)
+        rows = [_as_rows(batches[c], self._columns) for c in categories]
+        self._add(categories)
+        if (len(categories) == len(self._categories)
+                and len({r.shape[0] for r in rows}) == 1
+                and len(set(self._next.tolist())) == 1):
+            self._write(slice(None), _stack(rows), int(self._next[0]))
+            return
+        lanes = np.searchsorted(self._categories, categories)
+        for lane, batch in zip(lanes.tolist(), rows):
+            self._write(lane, batch, int(self._next[lane]))
+
+    def window(self, category: int) -> np.ndarray:
+        """``category``'s retained rows, oldest first (copy)."""
+        index = self._index(category)
+        filled = int(self._filled[index])
+        ring = self._rows[index]
+        if filled < self._capacity:
+            return ring[:filled].copy()
+        cursor = int(self._next[index])
+        return np.concatenate([ring[cursor:], ring[:cursor]])
 
     def mean(self) -> np.ndarray:
-        """Per-column mean over the current window."""
-        if self._filled == 0:
-            raise StatisticsError("window is empty")
-        return self._buffer[:self._filled].mean(axis=0)
+        """Per-(category, column) window means, shape ``(k, e)``.
 
-    def variance(self, ddof: int = 1) -> np.ndarray:
-        """Per-column sample variance over the current window."""
-        if self._filled <= ddof:
-            raise StatisticsError(
-                f"variance needs more than ddof={ddof} rows, "
-                f"got {self._filled}")
-        return self._buffer[:self._filled].var(axis=0, ddof=ddof)
-
-    def state(self) -> Dict[str, np.ndarray]:
-        """Npz-able window state (bit-exact round trip via :meth:`from_state`).
-
-        The rows are stored oldest-first (the rotation is normalized away),
-        so two windows holding the same trailing samples serialize
-        identically regardless of their internal write cursor.
+        Categories with an empty window get NaN.  Rows are summed in ring
+        order, lanes grouped by fill so every category reduces exactly
+        like its own ``(filled, e)`` slice.
         """
-        return {
-            "window/rows": self.window(),
-            "window/capacity": np.asarray([self.capacity], dtype=np.int64),
-            "window/total_seen": np.asarray([self.total_seen],
-                                            dtype=np.int64),
-        }
+        out = np.full((len(self._categories), self._columns), np.nan)
+        fills = self._filled
+        if fills.size and fills.min() == fills.max():
+            if fills[0]:
+                out = self._rows[:, :fills[0]].mean(axis=1)
+            return out
+        for filled in np.unique(fills).tolist():
+            if filled:
+                lanes = fills == filled
+                out[lanes] = self._rows[lanes, :filled].mean(axis=1)
+        return out
 
-    @classmethod
-    def from_state(cls, arrays: Mapping[str, np.ndarray]
-                   ) -> "SlidingWindowMoments":
-        """Rebuild a window from persisted :meth:`state` arrays."""
-        try:
-            rows = np.asarray(arrays["window/rows"], dtype=np.float64)
-            capacity = int(np.asarray(arrays["window/capacity"])[0])
-            total_seen = int(np.asarray(arrays["window/total_seen"])[0])
-        except KeyError as exc:
-            raise StatisticsError(
-                f"window state is missing {exc.args[0]!r}") from None
-        if rows.ndim != 2 or rows.shape[0] > capacity:
-            raise StatisticsError(
-                f"window state rows of shape {rows.shape} do not fit "
-                f"capacity {capacity}")
-        window = cls(capacity, rows.shape[1])
-        if rows.shape[0]:
-            window.observe(rows)
-        window.total_seen = total_seen
-        return window
+    def drift_z_scores(self, baseline: StreamingMoments
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """Window-mean z-scores against long-run baseline accumulators.
 
-    def drift_z_scores(self, baseline: MomentColumns) -> np.ndarray:
-        """Window-mean z-scores against a long-run baseline accumulator.
-
-        Per column: ``(window_mean - baseline_mean) / sqrt(baseline_var / W)``
+        Per cell: ``(window_mean - baseline_mean) / sqrt(baseline_var / W)``
         — how many standard errors the trailing window has moved away from
-        the stream's long-run behaviour.
+        the stream's long-run behaviour.  Computed for every category in
+        one pass.
+
+        Returns:
+            ``(usable, z)``: a ``(k,)`` mask of the window categories that
+            the baseline has observed at least twice and whose window
+            holds at least two rows, and the ``(k, e)`` z-scores (only
+            rows under ``usable`` are meaningful).
         """
-        if baseline.columns != self.columns:
+        if baseline.columns != self._columns:
             raise StatisticsError(
                 f"baseline has {baseline.columns} columns, window has "
-                f"{self.columns}")
-        if self._filled == 0:
-            raise StatisticsError("window is empty")
-        scale = np.sqrt(baseline.variance() / self._filled)
+                f"{self._columns}")
+        k = len(self._categories)
+        base_categories = tuple(baseline.categories)
+        if base_categories == self._categories:
+            counts, mean, m2 = baseline.counts, baseline.mean, baseline.m2
+            known = True
+        elif not base_categories:
+            return (np.zeros(k, dtype=bool),
+                    np.zeros((k, self._columns), dtype=np.float64))
+        else:
+            base = np.asarray(base_categories, dtype=np.int64)
+            at = np.minimum(np.searchsorted(base, self._categories),
+                            base.size - 1)
+            known = base[at] == np.asarray(self._categories, dtype=np.int64)
+            counts, mean, m2 = (baseline.counts[at], baseline.mean[at],
+                                baseline.m2[at])
+        # The baseline variance needs >= 2 samples; a window shorter than
+        # 2 rows has a meaningless mean estimate.
+        usable = known & (counts >= 2) & (self._filled >= 2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = (self.mean() - baseline.mean) / scale
-        return np.where(scale == 0.0, 0.0, z)
+            variance = m2 / (counts - 1)[:, None]
+            scale = np.sqrt(variance / self._filled[:, None])
+            z = (self.mean() - mean) / scale
+        return usable, np.where(scale == 0.0, 0.0, z)
+
+    def state(self) -> Dict[str, np.ndarray]:
+        """Npz-able ``cat<k>/window/...`` arrays (restored by :meth:`from_state`).
+
+        Each category's rows are stored oldest-first (the rotation is
+        normalized away), so two windows holding the same trailing samples
+        serialize identically regardless of their internal write cursor.
+        """
+        out: Dict[str, np.ndarray] = {}
+        for index, category in enumerate(self._categories):
+            out[f"cat{category}/window/rows"] = self.window(category)
+            out[f"cat{category}/window/capacity"] = np.asarray(
+                [self._capacity], dtype=np.int64)
+            out[f"cat{category}/window/total_seen"] = np.asarray(
+                [self._seen[index]], dtype=np.int64)
+        return out
+
+    @classmethod
+    def from_state(cls, arrays: Mapping[str, np.ndarray], capacity: int,
+                   columns: Optional[int] = None
+                   ) -> "SlidingWindowMoments":
+        """Rebuild windows from persisted :meth:`state` arrays.
+
+        Args:
+            arrays: ``cat<k>/window/{rows,capacity,total_seen}`` arrays.
+            capacity: Window length; every stored window must match it.
+            columns: Column count (inferred from the stored rows when
+                omitted).
+        """
+        windows: Dict[int, Tuple[np.ndarray, int]] = {}
+        for category, fields in _parse_category_state(arrays).items():
+            try:
+                rows = np.asarray(fields["window/rows"], dtype=np.float64)
+                stored = int(np.asarray(fields["window/capacity"])[0])
+                seen = int(np.asarray(fields["window/total_seen"])[0])
+            except KeyError as exc:
+                raise StatisticsError(
+                    f"window state of category {category} is missing "
+                    f"{exc.args[0]!r}") from None
+            if stored != capacity:
+                raise StatisticsError(
+                    f"window state of category {category} has capacity "
+                    f"{stored}, expected {capacity}")
+            if rows.ndim != 2 or rows.shape[0] > capacity:
+                raise StatisticsError(
+                    f"window state rows of shape {rows.shape} do not fit "
+                    f"capacity {capacity}")
+            windows[category] = (rows, seen)
+        if columns is None:
+            if not windows:
+                raise StatisticsError("no window state arrays found")
+            columns = next(iter(windows.values()))[0].shape[1]
+        ring = cls(capacity, columns)
+        for category in sorted(windows):
+            rows, seen = windows[category]
+            ring.observe(category, rows)
+            ring._seen[ring._index(category)] = seen
+        return ring

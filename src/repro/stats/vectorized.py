@@ -73,22 +73,26 @@ def log_gamma_array(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if np.any((x <= 0.0) & (x == np.floor(x))):
         raise StatisticsError("log_gamma undefined at non-positive integers")
-    out = np.empty(x.shape, dtype=np.float64)
     reflect = x < 0.5
-    if reflect.any():
-        xr = x[reflect]
-        out[reflect] = (np.log(np.pi / np.abs(np.sin(np.pi * xr)))
-                        - log_gamma_array(1.0 - xr))
+    if not reflect.any():
+        return _lanczos_log_gamma(x)
+    out = np.empty(x.shape, dtype=np.float64)
+    xr = x[reflect]
+    out[reflect] = (np.log(np.pi / np.abs(np.sin(np.pi * xr)))
+                    - log_gamma_array(1.0 - xr))
     direct = ~reflect
-    if direct.any():
-        xd = x[direct] - 1.0
-        series = np.full(xd.shape, _LANCZOS_COEFFS[0])
-        for i, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
-            series += coeff / (xd + i)
-        t = xd + _LANCZOS_G + 0.5
-        out[direct] = (_LOG_TWO_PI_HALF + (xd + 0.5) * np.log(t) - t
-                       + np.log(series))
+    out[direct] = _lanczos_log_gamma(x[direct])
     return out
+
+
+def _lanczos_log_gamma(x: np.ndarray) -> np.ndarray:
+    """The Lanczos series of :func:`log_gamma_array` for lanes >= 0.5."""
+    xd = x - 1.0
+    series = np.full(xd.shape, _LANCZOS_COEFFS[0])
+    for i, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
+        series += coeff / (xd + i)
+    t = xd + _LANCZOS_G + 0.5
+    return _LOG_TWO_PI_HALF + (xd + 0.5) * np.log(t) - t + np.log(series)
 
 
 def _log_beta_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,63 +100,150 @@ def _log_beta_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return log_gamma_array(a) + log_gamma_array(b) - log_gamma_array(a + b)
 
 
+#: ``ln Gamma(1/2)``, the constant term of every Student-t ``ln B(df/2, 1/2)``.
+_LOG_GAMMA_HALF = float(log_gamma_array(np.asarray([0.5]))[0])
+
+
+def _log_beta_half(a: np.ndarray, b: float) -> np.ndarray:
+    """``ln B(a, 1/2)``: ``ln Gamma(a)`` and ``ln Gamma(a + 1/2)`` in one call."""
+    both = log_gamma_array(np.concatenate([a, a + b]))
+    return both[:a.size] + _LOG_GAMMA_HALF - both[a.size:]
+
+
+#: Continued-fraction iterations run between two convergence checks.  The
+#: recurrence-independent ``aa`` coefficients of a whole block are built
+#: in a few broadcast calls, and finished lanes are retired once per block.
+_CF_BLOCK = 8
+
+
 def _beta_continued_fraction_array(a: np.ndarray, b: np.ndarray,
                                    x: np.ndarray) -> np.ndarray:
     """Lentz's continued fraction, elementwise over equally-shaped arrays.
 
-    Each lane is frozen at its own convergence iteration, replicating the
-    scalar kernel's early exit exactly.
+    Each lane's result is its ``h`` at its own convergence iteration,
+    replicating the scalar kernel's early exit exactly.  Lanes keep
+    iterating to the end of the block they converge in; every iteration's
+    ``delta`` and ``h`` land in per-block buffers, so the first converged
+    iteration of each lane is read off once per block rather than tested
+    for on every step.
     """
-    a = a.ravel().copy()
-    b = b.ravel().copy()
-    x = x.ravel().copy()
-    out = np.empty(x.shape, dtype=np.float64)
+    out = np.empty(x.size, dtype=np.float64)
+    if not x.size:
+        return out
     lanes = np.arange(x.size)  # output positions of the remaining lanes
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
+    # Per-lane constants and recurrence state, one row each, so retiring
+    # lanes is one fancy index per array.
+    coef = np.empty((6, x.size), dtype=np.float64)
+    coef[0], coef[1], coef[2] = a.ravel(), b.ravel(), x.ravel()
+    a, b, x, qab, qap, qam = coef
+    np.add(a, b, out=qab)
+    np.add(a, 1.0, out=qap)
+    np.subtract(a, 1.0, out=qam)
+    state = np.empty((3, x.size), dtype=np.float64)  # rows: d, c, h
     d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _CF_FPMIN, _CF_FPMIN, d)
-    d = 1.0 / d
-    h = d.copy()
+    state[0] = np.where(np.abs(d) < _CF_FPMIN, _CF_FPMIN, d)
+    np.divide(1.0, state[0], out=state[0])
+    state[1] = 1.0
+    state[2] = state[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for m in range(1, _MAX_CF_ITERATIONS + 1):
-            m2 = 2 * m
+        for first in range(1, _MAX_CF_ITERATIONS + 1, _CF_BLOCK):
+            ms = np.arange(first, min(first + _CF_BLOCK,
+                                      _MAX_CF_ITERATIONS + 1),
+                           dtype=np.float64)[:, None]
+            m2 = 2.0 * ms
             am2 = a + m2
-            # Even step.
-            aa = m * (b - m) * x / ((qam + m2) * am2)
-            d = 1.0 + aa * d
-            d = np.where(np.abs(d) < _CF_FPMIN, _CF_FPMIN, d)
-            c = 1.0 + aa / c
-            c = np.where(np.abs(c) < _CF_FPMIN, _CF_FPMIN, c)
-            d = 1.0 / d
-            h = h * (d * c)
-            # Odd step.
-            aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
-            d = 1.0 + aa * d
-            d = np.where(np.abs(d) < _CF_FPMIN, _CF_FPMIN, d)
-            c = 1.0 + aa / c
-            c = np.where(np.abs(c) < _CF_FPMIN, _CF_FPMIN, c)
-            d = 1.0 / d
-            delta = d * c
-            h = h * delta
-            # Retire converged lanes at their own stopping iteration (the
-            # scalar kernel's early exit), compacting the working set.
-            converged = np.abs(delta - 1.0) < _CF_EPSILON
-            if converged.any():
-                out[lanes[converged]] = h[converged]
-                if converged.all():
-                    return out
-                keep = ~converged
+            # Row 2i is iteration i's even coefficient, row 2i+1 its odd one.
+            steps = np.empty((2 * ms.shape[0], x.size), dtype=np.float64)
+            np.divide(ms * (b - ms) * x, (qam + m2) * am2, out=steps[0::2])
+            np.divide(-(a + ms) * (qab + ms) * x, am2 * (qap + m2),
+                      out=steps[1::2])
+            # factors[0] is h on entry; factors[k] the d*c of half-step k.
+            factors = np.empty((steps.shape[0] + 1, x.size),
+                               dtype=np.float64)
+            factors[0] = state[2]
+            dc = state[:2]
+            d, c = dc
+            entry = dc.copy()
+            ones = np.ones(dc.shape, dtype=np.float64)
+            one = ones[0]
+            work = np.empty_like(dc)
+            work_d, work_c = work
+            for clamp in (False, True):
+                for aa, factor in zip(steps, factors[1:]):
+                    # d = 1 + aa*d and c = 1 + aa/c in one (2, n) buffer.
+                    np.multiply(aa, d, work_d)
+                    np.divide(aa, c, work_c)
+                    np.add(work, ones, dc)
+                    # |1 + y| < FPMIN exactly when 1 + y == 0: for y in
+                    # [-2, -1/2] the sum is exact, so a multiple of
+                    # 2**-53, and elsewhere |1 + y| > 1/2.
+                    if clamp and np.count_nonzero(dc) < dc.size:
+                        np.copyto(dc, _CF_FPMIN, where=dc == 0.0)
+                    np.divide(one, d, d)
+                    np.multiply(d, c, factor)
+                # An unclamped zero d or c leaves a zero or non-finite
+                # d*c behind it; only then is the block rerun clamped.
+                if clamp or (np.isfinite(factors[1:]).all()
+                             and factors[1:].all()):
+                    break
+                dc[...] = entry
+            # h after every half-step, multiplied in the scalar order.
+            hs = np.multiply.accumulate(factors, axis=0)
+            state[2] = hs[-1]
+            # Retire lanes at their first converged (odd) iteration.
+            deltas = factors[2::2]
+            np.subtract(deltas, 1.0, out=deltas)
+            np.abs(deltas, out=deltas)
+            converged = deltas < _CF_EPSILON
+            done = converged.any(axis=0)
+            if done.any():
+                at = 2 * converged.argmax(axis=0)[done] + 2
+                out[lanes[done]] = hs[at, np.flatnonzero(done)]
+                keep = ~done
                 lanes = lanes[keep]
-                a, b, x = a[keep], b[keep], x[keep]
-                qab, qap, qam = qab[keep], qap[keep], qam[keep]
-                c, d, h = c[keep], d[keep], h[keep]
+                if not lanes.size:
+                    return out
+                coef = coef[:, keep]
+                a, b, x, qab, qap, qam = coef
+                state = state[:, keep]
     raise StatisticsError(
         "incomplete beta continued fraction failed to converge for "
         f"{lanes.size} lane(s)"
     )
+
+
+def _incomplete_beta_lanes(a: np.ndarray, b, x: np.ndarray,
+                           log_beta) -> np.ndarray:
+    """``I_x(a, b)`` over validated 1-D lanes.
+
+    ``b`` is an array like ``a`` or a scalar shared by every lane, and
+    ``log_beta(a, b)`` returns ``ln B(a, b)`` of the interior lanes.
+    """
+    out = np.empty(x.shape, dtype=np.float64)
+    at_zero = x == 0.0
+    at_one = x == 1.0
+    out[at_zero] = 0.0
+    out[at_one] = 1.0
+    interior = ~(at_zero | at_one)
+    if not interior.all():
+        a, x = a[interior], x[interior]
+        if np.ndim(b):
+            b = b[interior]
+    if x.size:
+        front = np.exp(a * np.log(x) + b * np.log(1.0 - x)
+                       - log_beta(a, b))
+        # The continued fraction converges fastest below the split point;
+        # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) above it.  Both
+        # orientations run through ONE fraction call (lanes are independent,
+        # so mixing them changes nothing per lane but halves the fixed
+        # per-iteration dispatch overhead of two separate loops).
+        direct = x < (a + 1.0) / (a + b + 2.0)
+        cf_a = np.where(direct, a, b)
+        cf_b = np.where(direct, b, a)
+        cf_x = np.where(direct, x, 1.0 - x)
+        tail = front * _beta_continued_fraction_array(cf_a, cf_b, cf_x) / cf_a
+        out[interior] = np.where(direct, tail, 1.0 - tail)
+    return out
 
 
 def regularized_incomplete_beta_array(a: np.ndarray, b: np.ndarray,
@@ -175,30 +266,8 @@ def regularized_incomplete_beta_array(a: np.ndarray, b: np.ndarray,
         raise StatisticsError("incomplete beta requires positive shapes")
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise StatisticsError("incomplete beta arguments must lie in [0, 1]")
-    out = np.empty(x.shape, dtype=np.float64)
-    flat_a, flat_b, flat_x = a.ravel(), b.ravel(), x.ravel()
-    flat_out = out.ravel()
-    at_zero = flat_x == 0.0
-    at_one = flat_x == 1.0
-    flat_out[at_zero] = 0.0
-    flat_out[at_one] = 1.0
-    interior = ~(at_zero | at_one)
-    if interior.any():
-        ai, bi, xi = flat_a[interior], flat_b[interior], flat_x[interior]
-        log_b = _log_beta_array(ai, bi)
-        front = np.exp(ai * np.log(xi) + bi * np.log(1.0 - xi) - log_b)
-        # The continued fraction converges fastest below the split point;
-        # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) above it.  Both
-        # orientations run through ONE fraction call (lanes are independent,
-        # so mixing them changes nothing per lane but halves the fixed
-        # per-iteration dispatch overhead of two separate loops).
-        direct = xi < (ai + 1.0) / (ai + bi + 2.0)
-        cf_a = np.where(direct, ai, bi)
-        cf_b = np.where(direct, bi, ai)
-        cf_x = np.where(direct, xi, 1.0 - xi)
-        tail = front * _beta_continued_fraction_array(cf_a, cf_b, cf_x) / cf_a
-        flat_out[interior] = np.where(direct, tail, 1.0 - tail)
-    return flat_out.reshape(x.shape)
+    return _incomplete_beta_lanes(a.ravel(), b.ravel(), x.ravel(),
+                                  _log_beta_array).reshape(x.shape)
 
 
 def two_sided_p_values(t: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -211,15 +280,24 @@ def two_sided_p_values(t: np.ndarray, df: np.ndarray) -> np.ndarray:
     """
     t = np.asarray(t, dtype=np.float64)
     df = np.asarray(df, dtype=np.float64)
-    p = np.ones(np.broadcast(t, df).shape, dtype=np.float64)
+    shape = np.broadcast_shapes(t.shape, df.shape)
+    if t.shape != shape:
+        t = np.broadcast_to(t, shape)
+    if df.shape != shape:
+        df = np.broadcast_to(df, shape)
+    p = np.ones(shape, dtype=np.float64)
     nonzero = (t != 0.0) & np.isfinite(t)
-    if nonzero.any():
-        tz = np.broadcast_to(t, p.shape)[nonzero]
-        dz = np.broadcast_to(df, p.shape)[nonzero]
-        z = dz / (dz + tz * tz)
-        p[nonzero] = np.minimum(
-            1.0, regularized_incomplete_beta_array(dz / 2.0, 0.5, z))
-    p[np.broadcast_to(np.isinf(t), p.shape)] = 0.0
+    tz = t[nonzero]
+    dz = df[nonzero]
+    half_df = dz / 2.0
+    # z = df / (df + t^2) lies in [0, 1] for every positive df, so only
+    # the shape parameter df / 2 needs checking.
+    if np.any(half_df <= 0.0):
+        raise StatisticsError("incomplete beta requires positive shapes")
+    z = dz / (dz + tz * tz)
+    p[nonzero] = np.minimum(
+        1.0, _incomplete_beta_lanes(half_df, 0.5, z, _log_beta_half))
+    p[np.isinf(t)] = 0.0
     return p
 
 
@@ -310,6 +388,11 @@ class PairwiseTestArrays:
     method: str
 
 
+def _constant_separation(diff: np.ndarray) -> np.ndarray:
+    """t or d of exactly constant samples: 0 when equal, else signed inf."""
+    return np.where(diff == 0.0, 0.0, np.where(diff > 0.0, np.inf, -np.inf))
+
+
 def batch_pairwise_tests(stats: SufficientStats,
                          method: str = "welch") -> PairwiseTestArrays:
     """Evaluate every category pair on every event in broadcast arithmetic.
@@ -341,7 +424,6 @@ def batch_pairwise_tests(stats: SufficientStats,
     diff = mean_a - mean_b
     pooled_df = n_a + n_b - 2.0
     pooled_var = ((n_a - 1.0) * var_a + (n_b - 1.0) * var_b) / pooled_df
-    signed_inf = np.where(diff > 0.0, np.inf, -np.inf)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         if method == "welch":
@@ -360,13 +442,18 @@ def batch_pairwise_tests(stats: SufficientStats,
             df = np.broadcast_to(pooled_df, t.shape).copy()
         # Degenerate lanes (both samples exactly constant): equal constants
         # carry no evidence, unequal constants are perfectly separable.
-        t = np.where(degenerate, np.where(diff == 0.0, 0.0, signed_inf), t)
-        df = np.where(degenerate, np.broadcast_to(pooled_df, t.shape), df)
+        any_degenerate = degenerate.any()
+        if any_degenerate:
+            t = np.where(degenerate, _constant_separation(diff), t)
+            df = np.where(degenerate, np.broadcast_to(pooled_df, t.shape),
+                          df)
         p = two_sided_p_values(t, df)
-        p = np.where(degenerate, np.where(diff == 0.0, 1.0, 0.0), p)
+        if any_degenerate:
+            p = np.where(degenerate, np.where(diff == 0.0, 1.0, 0.0), p)
         effect = diff / np.sqrt(pooled_var)
-        effect = np.where(pooled_var == 0.0,
-                          np.where(diff == 0.0, 0.0, signed_inf), effect)
+        constant = pooled_var == 0.0
+        if constant.any():
+            effect = np.where(constant, _constant_separation(diff), effect)
     return PairwiseTestArrays(
         index_a=ia,
         index_b=ib,

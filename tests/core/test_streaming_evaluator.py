@@ -16,6 +16,7 @@ from repro.core.streaming import (
     STREAM_STATE_SCHEMA_VERSION,
     AlarmRecord,
     StreamingEvaluator,
+    fold_round,
     replay_stream,
     streaming_report_section,
 )
@@ -275,6 +276,71 @@ class TestStatePersistence:
         short = stream_in_batches(make_rows(seed=11, samples=10), 5)
         long = stream_in_batches(make_rows(seed=11, samples=500), 5)
         assert long.memory_bytes() == short.memory_bytes()
+
+
+def first_rejections(ticks):
+    """``(pair, event) -> tick`` of each cell's first p < 0.05, by brute force."""
+    first = {}
+    for tick in ticks:
+        for pi, ei in zip(*np.nonzero(tick.p_value < 0.05)):
+            first.setdefault((tick.pairs[pi], EVENTS[ei]), tick.tick)
+    return first
+
+
+class TestTickCaches:
+    def test_resumed_mid_stream_emits_same_new_detections(self):
+        rows = make_rows(seed=21, categories=4, samples=60, separation=0.4)
+
+        def run(restore_at=None):
+            evaluator = StreamingEvaluator(events=EVENTS)
+            emitted = []
+            for index, start in enumerate(range(0, 60, 3)):
+                if index == restore_at:
+                    evaluator = StreamingEvaluator.from_state(
+                        evaluator.state())
+                tick, _ = fold_round(evaluator, {
+                    c: mat[start:start + 3] for c, mat in rows.items()})
+                emitted.append([r.to_dict() for r in tick.new_detections])
+            return emitted
+
+        straight = run()
+        assert any(straight[:8]) and any(straight[8:])  # both sides detect
+        assert run(restore_at=8) == straight
+
+    def test_late_category_rebuilds_pair_cache(self):
+        rows = make_rows(seed=22, categories=3, samples=40, separation=3.0)
+        evaluator = StreamingEvaluator(events=EVENTS)
+        ticks = []
+        for start in range(0, 40, 4):
+            tick, _ = fold_round(evaluator, {
+                c: mat[start:start + 4] for c, mat in rows.items()
+                if c < 2 or start >= 20})
+            ticks.append(tick)
+        assert ticks[0].pairs == [(0, 1)]
+        assert ticks[-1].pairs == [(0, 1), (0, 2), (1, 2)]
+        late = [t for t in ticks if t.pairs != [(0, 1)]]
+        assert late and late[0].tick == 6
+        records = {((r.category_a, r.category_b), r.event): r.tick
+                   for r in evaluator.alarm_latency()}
+        assert len(records) == len(evaluator.alarm_latency())
+        assert records == first_rejections(ticks)
+        assert any(pair == (0, 1) for pair, _ in records)
+        assert any(pair != (0, 1) for pair, _ in records)
+
+    def test_pairs_are_handed_out_as_a_copy(self):
+        evaluator = stream_in_batches(make_rows(seed=23, samples=10), 5)
+        tick = evaluator.tick()
+        tick.pairs.clear()
+        assert evaluator.tick().pairs == [(0, 1), (0, 2), (1, 2)]
+
+    def test_memory_bytes_counts_pair_cache_and_mask(self):
+        evaluator = stream_in_batches(
+            make_rows(seed=24, categories=4, samples=20, separation=8.0), 5)
+        pairs = 6
+        assert evaluator.memory_bytes() == (
+            evaluator.moments.memory_bytes()
+            + 64 * len(evaluator.alarm_latency())
+            + pairs * 2 * 8 + pairs * len(EVENTS))
 
 
 class TestReplayAndReportSection:

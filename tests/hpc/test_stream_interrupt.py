@@ -24,10 +24,10 @@ class TestStreamDrift:
         evaluator = session.stream(digits_dataset, [0, 1], 10,
                                    batch_size=5, drift=drift)
         # Windows hold min(stream, window) rows per category.
-        assert sorted(drift._windows) == [0, 1]
+        assert drift.windows.categories == [0, 1]
         for category in (0, 1):
-            assert drift._windows[category].count == 6
-            assert drift._windows[category].total_seen == 10
+            assert drift.windows.count(category) == 6
+            assert drift.windows.total_seen(category) == 10
         assert not drift.alarm
         assert evaluator.ticks == 2
 
@@ -48,7 +48,7 @@ class TestStreamDrift:
                                    batch_size=4, drift=drift)
         # The monitor's window content must be the tail of what the
         # evaluator accumulated (same rows, same order, same values).
-        window = drift._windows[0].window()
+        window = drift.windows.window(0)
         assert window.shape == (4, len(evaluator.events))
         assert evaluator.samples_seen(0) == 8
 

@@ -231,6 +231,46 @@ class TestRunsForever:
         assert sizes[100] == sizes[2000]
         assert monitor.leakage_alarm_count > 1000
 
+    def test_memory_bytes_counts_alarm_state_and_stays_flat(self):
+        # A tenant whose categories sit hundreds of sigmas apart alarms on
+        # every round from the first tick on (harmonic spending never
+        # underflows to zero within 2000 ticks).
+        config = make_config(batch_size=4, drift_threshold=5.0,
+                             spending="harmonic")
+        spec = config.tenants[0]
+        monitor = TenantMonitor(spec, config)
+        events = len(spec.events)
+        rng = np.random.default_rng(26)
+
+        def ingest(index):
+            return monitor.ingest_round(MeasurementRound(
+                tenant="t", index=index, batches={
+                    c: rng.normal(1000.0 + 500.0 * c, 1.0, size=(4, events))
+                    for c in spec.categories}))
+
+        def parts():
+            return (monitor.evaluator.memory_bytes()
+                    + monitor.drift.memory_bytes())
+
+        assert monitor.memory_bytes() == parts() + 8  # the alarm counter
+        sizes = {}
+        for index in range(2000):
+            outcome = ingest(index)
+            assert outcome.alarmed
+            if outcome.tick in (1, 100, 2000):
+                sizes[outcome.tick] = monitor.memory_bytes()
+        assert monitor.leakage_alarm_count == 2000
+        # Counter + first alarm (tick, round index, flag, spent alpha).
+        assert monitor.memory_bytes() == parts() + 8 + 4 * 8
+        # The evaluator's share includes its tick caches: 3 pairs of two
+        # category ids and a (pairs, events) detected-cell mask.
+        evaluator = monitor.evaluator
+        assert evaluator.memory_bytes() == (
+            evaluator.moments.memory_bytes()
+            + 64 * len(evaluator.alarm_latency())
+            + 3 * 2 * 8 + 3 * events)
+        assert sizes[1] == sizes[100] == sizes[2000]
+
     def test_ten_category_tenant_runs_past_tick_42(self):
         # Regression: with 10 categories (360 cells) the crash came at
         # tick 42.

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StatisticsError
-from repro.stats.streaming import (
-    MomentColumns,
-    SlidingWindowMoments,
-    StreamingMoments,
-)
+from repro.stats.streaming import SlidingWindowMoments, StreamingMoments
 from repro.stats.vectorized import batch_pairwise_tests
 
 values_strategy = st.lists(
@@ -19,71 +15,97 @@ values_strategy = st.lists(
     min_size=2, max_size=60)
 
 
+def _reference_fold(state, rows):
+    """One category's Welford/Chan fold of a ``(B, E)`` batch, verbatim."""
+    b_count = rows.shape[0]
+    b_mean = rows.mean(axis=0)
+    centered = rows - b_mean
+    b_m2 = np.einsum("ij,ij->j", centered, centered)
+    if state is None:
+        return b_count, b_mean, b_m2
+    count, mean, m2 = state
+    total = count + b_count
+    delta = b_mean - mean
+    return (total, mean + delta * (b_count / total),
+            m2 + b_m2 + delta * delta * (count * b_count / total))
+
+
+def _column_state(moments, category=0):
+    return (moments.count(category),
+            moments.state()[f"cat{category}/mean"].tolist(),
+            moments.state()[f"cat{category}/m2"].tolist())
+
+
 class TestMomentColumns:
+    """One category's row of event columns inside :class:`StreamingMoments`."""
+
     def test_observe_matches_numpy_columns(self):
         rng = np.random.default_rng(11)
         rows = rng.normal(50.0, 4.0, size=(60, 5))
-        cols = MomentColumns(5)
-        cols.observe(rows[:17])
-        cols.observe(rows[17:])
-        np.testing.assert_allclose(cols.mean, rows.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(cols.variance(), rows.var(axis=0, ddof=1),
+        cols = StreamingMoments(5)
+        cols.observe(0, rows[:17])
+        cols.observe(0, rows[17:])
+        np.testing.assert_allclose(cols.mean[0], rows.mean(axis=0),
                                    rtol=1e-12)
+        np.testing.assert_allclose(cols.variance()[0],
+                                   rows.var(axis=0, ddof=1), rtol=1e-12)
 
     def test_single_row_and_shape_checks(self):
-        cols = MomentColumns(3)
-        cols.observe(np.asarray([1.0, 2.0, 3.0]))  # 1-D row promoted
-        assert cols.count == 1
+        cols = StreamingMoments(3)
+        cols.observe(0, np.asarray([1.0, 2.0, 3.0]))  # 1-D row promoted
+        assert cols.count(0) == 1
         with pytest.raises(StatisticsError):
-            cols.observe(np.zeros((2, 4)))
+            cols.observe(0, np.zeros((2, 4)))
         with pytest.raises(StatisticsError):
-            MomentColumns(0)
+            StreamingMoments(0)
 
     def test_first_batch_adopted_bit_exactly(self):
         rows = np.asarray([[1.0, 10.0], [3.0, 14.0], [8.0, 30.0]])
-        cols = MomentColumns(2)
-        cols.observe(rows)
+        cols = StreamingMoments(2)
+        cols.observe(0, rows)
         mean = rows.mean(axis=0)
         centered = rows - mean
         m2 = np.einsum("ij,ij->j", centered, centered)
-        assert np.array_equal(cols.mean, mean)
-        assert np.array_equal(cols.m2, m2)
+        assert np.array_equal(cols.mean[0], mean)
+        assert np.array_equal(cols.m2[0], m2)
 
     def test_merge_column_mismatch(self):
-        cols = MomentColumns(2)
+        cols = StreamingMoments(2)
         with pytest.raises(StatisticsError):
-            cols.merge(MomentColumns(3))
+            cols.merge(StreamingMoments(3))
 
     def test_merge_equals_concatenation(self):
         rng = np.random.default_rng(9)
         a, b = rng.normal(3.0, 2.0, size=(2, 40, 3))
-        left = MomentColumns(3)
-        left.observe(a)
-        right = MomentColumns(3)
-        right.observe(b)
+        left = StreamingMoments(3)
+        left.observe(0, a)
+        right = StreamingMoments(3)
+        right.observe(0, b)
         left.merge(right)
         both = np.concatenate([a, b])
-        assert left.count == both.shape[0]
-        np.testing.assert_allclose(left.mean, both.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(left.variance(), both.var(axis=0, ddof=1),
+        assert left.count(0) == both.shape[0]
+        np.testing.assert_allclose(left.mean[0], both.mean(axis=0),
                                    rtol=1e-12)
+        np.testing.assert_allclose(left.variance()[0],
+                                   both.var(axis=0, ddof=1), rtol=1e-12)
 
     def test_merge_with_empty_is_identity(self):
-        def state(cols):
-            return (cols.count, cols.mean.tolist(), cols.m2.tolist())
-
-        cols = MomentColumns(2)
-        cols.observe(np.asarray([[1.0, 4.0], [2.0, 5.0], [3.0, 9.0]]))
-        before = state(cols)
-        cols.merge(MomentColumns(2))
-        assert state(cols) == before
-        empty = MomentColumns(2)
+        cols = StreamingMoments(2)
+        cols.observe(0, np.asarray([[1.0, 4.0], [2.0, 5.0], [3.0, 9.0]]))
+        before = _column_state(cols)
+        empty_row = StreamingMoments(2)
+        empty_row.observe(0, np.zeros((0, 2)))  # category seen, no rows
+        cols.merge(empty_row)
+        assert _column_state(cols) == before
+        cols.merge(StreamingMoments(2))
+        assert _column_state(cols) == before
+        empty = StreamingMoments(2)
         empty.merge(cols)
-        assert state(empty) == before
+        assert _column_state(empty) == before
 
     def test_variance_needs_two(self):
-        cols = MomentColumns(1)
-        cols.observe(np.asarray([1.0]))
+        cols = StreamingMoments(1)
+        cols.observe(0, np.asarray([1.0]))
         with pytest.raises(StatisticsError):
             cols.variance()
 
@@ -91,11 +113,12 @@ class TestMomentColumns:
     @settings(max_examples=40, deadline=None)
     def test_property_matches_numpy(self, data):
         arr = np.asarray(data, dtype=np.float64)
-        cols = MomentColumns(1)
-        cols.observe(arr[:, None])
-        assert cols.mean[0] == pytest.approx(arr.mean(), rel=1e-9, abs=1e-6)
-        assert cols.variance()[0] == pytest.approx(arr.var(ddof=1),
-                                                   rel=1e-9, abs=1e-6)
+        cols = StreamingMoments(1)
+        cols.observe(0, arr[:, None])
+        assert cols.mean[0, 0] == pytest.approx(arr.mean(), rel=1e-9,
+                                                abs=1e-6)
+        assert cols.variance()[0, 0] == pytest.approx(arr.var(ddof=1),
+                                                      rel=1e-9, abs=1e-6)
 
     def test_catastrophic_cancellation_regime(self):
         # 1e12-scale means with unit-scale deviations: a naive
@@ -113,12 +136,12 @@ class TestMomentColumns:
         values = 1e12 + offsets
         truth = offsets.var(ddof=1)
 
-        cols = MomentColumns(1)
-        cols.observe(values[:250, None])
-        other = MomentColumns(1)
-        other.observe(values[250:, None])
+        cols = StreamingMoments(1)
+        cols.observe(0, values[:250, None])
+        other = StreamingMoments(1)
+        other.observe(0, values[250:, None])
         cols.merge(other)
-        variance = cols.variance()[0]
+        variance = cols.variance()[0, 0]
         assert variance == pytest.approx(truth, rel=1e-4)
         assert variance == pytest.approx(values.var(ddof=1), rel=1e-4)
 
@@ -230,6 +253,63 @@ class TestStreamingMoments:
         with pytest.raises(StatisticsError):
             moments.to_sufficient_stats(("only", "three", "labels"))
 
+    @pytest.mark.parametrize("lengths", [(5, 5, 5, 5), (1, 7, 7, 30)])
+    def test_stacked_fold_matches_per_category_reference(self, lengths):
+        # One observe_round per round must leave every category exactly
+        # where the one-category-at-a-time Welford/Chan fold leaves it.
+        rng = np.random.default_rng(20)
+        stacked = StreamingMoments(3)
+        reference = {}
+        for round_index in range(6):
+            batches = {c: rng.normal(1e5 + 50.0 * c, 30.0, size=(n, 3))
+                       for c, n in enumerate(lengths)}
+            if round_index == 0:
+                del batches[3]  # a category that first appears later
+            stacked.observe_round(batches)
+            for category in sorted(batches):
+                reference[category] = _reference_fold(
+                    reference.get(category), batches[category])
+        state = stacked.state()
+        assert stacked.categories == sorted(reference)
+        for category, (count, mean, m2) in reference.items():
+            assert int(state[f"cat{category}/count"][0]) == count
+            assert np.array_equal(state[f"cat{category}/mean"], mean)
+            assert np.array_equal(state[f"cat{category}/m2"], m2)
+
+    def test_old_checkpoint_layout_restores(self):
+        # ``cat<k>/count|mean|m2`` arrays as earlier releases wrote them,
+        # one (count, mean, m2) row per category, including a category
+        # registered without samples.
+        arrays = {
+            "cat3/count": np.asarray([4], dtype=np.int64),
+            "cat3/mean": np.asarray([1.5, 2.5]),
+            "cat3/m2": np.asarray([3.0, 4.0]),
+            "cat1/count": np.asarray([0], dtype=np.int64),
+            "cat1/mean": np.zeros(2),
+            "cat1/m2": np.zeros(2),
+            "meta/ticks": np.asarray([7], dtype=np.int64),
+        }
+        moments = StreamingMoments.from_state(arrays)
+        assert moments.categories == [1, 3]
+        assert moments.count(3) == 4 and moments.count(1) == 0
+        assert np.array_equal(moments.mean, [[0.0, 0.0], [1.5, 2.5]])
+        state = moments.state()
+        assert set(state) == {k for k in arrays if k.startswith("cat")}
+        for key, value in state.items():
+            assert np.array_equal(value, arrays[key]), key
+        # The empty category adopts its first batch bit for bit.
+        rows = np.asarray([[1.0, 2.0], [4.0, 8.0]])
+        moments.observe(1, rows)
+        assert np.array_equal(moments.mean[0], rows.mean(axis=0))
+
+    def test_state_arrays_are_read_only_snapshots(self):
+        moments, _ = self._filled(np.random.default_rng(21))
+        before = moments.mean
+        with pytest.raises(ValueError):
+            before[0, 0] = 1.0
+        moments.observe(0, np.ones((2, 4)))
+        assert not np.array_equal(before, moments.mean)
+
     def test_memory_is_flat_in_sample_count(self):
         small = StreamingMoments(6)
         big = StreamingMoments(6)
@@ -243,38 +323,37 @@ class TestSlidingWindowMoments:
     def test_eviction_keeps_last_capacity_rows(self):
         window = SlidingWindowMoments(capacity=5, columns=2)
         rows = np.arange(16, dtype=np.float64).reshape(8, 2)
-        window.observe(rows[:3])
-        window.observe(rows[3:])
-        assert window.count == 5
-        assert window.total_seen == 8
-        np.testing.assert_array_equal(window.window(), rows[-5:])
-        np.testing.assert_allclose(window.mean(), rows[-5:].mean(axis=0))
-        np.testing.assert_allclose(window.variance(),
-                                   rows[-5:].var(axis=0, ddof=1))
+        window.observe(0, rows[:3])
+        window.observe(0, rows[3:])
+        assert window.count(0) == 5
+        assert window.total_seen(0) == 8
+        np.testing.assert_array_equal(window.window(0), rows[-5:])
+        np.testing.assert_allclose(window.mean()[0], rows[-5:].mean(axis=0))
 
     def test_oversized_batch_overwrites_window(self):
         window = SlidingWindowMoments(capacity=3, columns=1)
-        window.observe(np.arange(10, dtype=np.float64)[:, None])
-        np.testing.assert_array_equal(window.window().ravel(),
+        window.observe(0, np.arange(10, dtype=np.float64)[:, None])
+        np.testing.assert_array_equal(window.window(0).ravel(),
                                       [7.0, 8.0, 9.0])
 
     def test_drift_z_scores(self):
-        baseline = MomentColumns(2)
+        baseline = StreamingMoments(2)
         rng = np.random.default_rng(19)
-        baseline.observe(rng.normal(100.0, 4.0, size=(500, 2)))
+        baseline.observe(0, rng.normal(100.0, 4.0, size=(500, 2)))
         window = SlidingWindowMoments(capacity=25, columns=2)
-        window.observe(rng.normal([100.0, 140.0], 4.0, size=(25, 2)))
-        z = window.drift_z_scores(baseline)
-        assert abs(z[0]) < 5.0       # undrifted column stays near zero
-        assert z[1] > 10.0           # 10-sigma mean shift is unmissable
+        window.observe(0, rng.normal([100.0, 140.0], 4.0, size=(25, 2)))
+        usable, z = window.drift_z_scores(baseline)
+        assert usable.tolist() == [True]
+        assert abs(z[0, 0]) < 5.0    # undrifted column stays near zero
+        assert z[0, 1] > 10.0        # 10-sigma mean shift is unmissable
 
     def test_validation(self):
         with pytest.raises(StatisticsError):
             SlidingWindowMoments(capacity=1, columns=2)
         window = SlidingWindowMoments(capacity=4, columns=2)
         with pytest.raises(StatisticsError):
-            window.mean()
+            window.window(0)
         with pytest.raises(StatisticsError):
-            window.observe(np.zeros((2, 3)))
+            window.observe(0, np.zeros((2, 3)))
         with pytest.raises(StatisticsError):
-            window.drift_z_scores(MomentColumns(3))
+            window.drift_z_scores(StreamingMoments(3))
