@@ -381,9 +381,7 @@ class SlidingWindowMoments:
     regardless of stream length — for drift detection: the long-run
     accumulators answer "do these categories differ?", the window answers
     "has this stream recently moved away from its own long-run
-    behaviour?".  Each category keeps its own write cursor, and a round
-    whose categories all sit at the same cursor is written with one
-    stacked copy.
+    behaviour?".  Each category keeps its own write cursor.
 
     Args:
         capacity: Window length (rows retained per category).
@@ -460,30 +458,26 @@ class SlidingWindowMoments:
         self._rows = rows
         self._next, self._filled, self._seen = cursors
 
-    def _write(self, lanes, rows: np.ndarray, cursor: int) -> None:
-        """Append rows to lanes that all sit at write position ``cursor``.
-
-        ``lanes`` is one lane index with ``(B, E)`` rows, or a slice of
-        lanes with ``(K, B, E)`` rows; either way ``self._rows[lanes]``
-        is a view that is written in place.
-        """
+    def _write(self, lane: int, rows: np.ndarray) -> None:
+        """Append ``(B, E)`` rows to one lane at its write cursor."""
         capacity = self._capacity
-        length = rows.shape[-2]
-        ring = self._rows[lanes]
-        self._seen[lanes] += length
+        length = rows.shape[0]
+        ring = self._rows[lane]
+        self._seen[lane] += length
         if length >= capacity:
             # The batch alone overwrites the whole window.
-            ring[...] = rows[..., -capacity:, :]
-            self._next[lanes] = 0
-            self._filled[lanes] = capacity
+            ring[...] = rows[-capacity:]
+            self._next[lane] = 0
+            self._filled[lane] = capacity
             return
+        cursor = int(self._next[lane])
         first = min(length, capacity - cursor)
-        ring[..., cursor:cursor + first, :] = rows[..., :first, :]
+        ring[cursor:cursor + first] = rows[:first]
         if length > first:
-            ring[..., :length - first, :] = rows[..., first:, :]
-        self._next[lanes] = (cursor + length) % capacity
-        self._filled[lanes] = np.minimum(capacity,
-                                         self._filled[lanes] + length)
+            ring[:length - first] = rows[first:]
+        self._next[lane] = (cursor + length) % capacity
+        self._filled[lane] = min(capacity,
+                                 int(self._filled[lane]) + length)
 
     def observe(self, category: int, rows: np.ndarray) -> None:
         """Append one category's rows, evicting its oldest beyond capacity."""
@@ -494,14 +488,9 @@ class SlidingWindowMoments:
         categories = sorted(int(c) for c in batches)
         rows = [_as_rows(batches[c], self._columns) for c in categories]
         self._add(categories)
-        if (len(categories) == len(self._categories)
-                and len({r.shape[0] for r in rows}) == 1
-                and len(set(self._next.tolist())) == 1):
-            self._write(slice(None), _stack(rows), int(self._next[0]))
-            return
         lanes = np.searchsorted(self._categories, categories)
         for lane, batch in zip(lanes.tolist(), rows):
-            self._write(lane, batch, int(self._next[lane]))
+            self._write(lane, batch)
 
     def window(self, category: int) -> np.ndarray:
         """``category``'s retained rows, oldest first (copy)."""
@@ -522,10 +511,6 @@ class SlidingWindowMoments:
         """
         out = np.full((len(self._categories), self._columns), np.nan)
         fills = self._filled
-        if fills.size and fills.min() == fills.max():
-            if fills[0]:
-                out = self._rows[:, :fills[0]].mean(axis=1)
-            return out
         for filled in np.unique(fills).tolist():
             if filled:
                 lanes = fills == filled
@@ -592,41 +577,33 @@ class SlidingWindowMoments:
         return out
 
     @classmethod
-    def from_state(cls, arrays: Mapping[str, np.ndarray], capacity: int,
-                   columns: Optional[int] = None
+    def from_state(cls, arrays: Mapping[str, np.ndarray], capacity: int
                    ) -> "SlidingWindowMoments":
         """Rebuild windows from persisted :meth:`state` arrays.
 
         Args:
             arrays: ``cat<k>/window/{rows,capacity,total_seen}`` arrays.
-            capacity: Window length; every stored window must match it.
-            columns: Column count (inferred from the stored rows when
-                omitted).
+            capacity: Window length.  A window stored under another
+                length keeps its last ``capacity`` rows and its
+                ``total_seen``.
         """
         windows: Dict[int, Tuple[np.ndarray, int]] = {}
         for category, fields in _parse_category_state(arrays).items():
             try:
                 rows = np.asarray(fields["window/rows"], dtype=np.float64)
-                stored = int(np.asarray(fields["window/capacity"])[0])
                 seen = int(np.asarray(fields["window/total_seen"])[0])
             except KeyError as exc:
                 raise StatisticsError(
                     f"window state of category {category} is missing "
                     f"{exc.args[0]!r}") from None
-            if stored != capacity:
+            if rows.ndim != 2:
                 raise StatisticsError(
-                    f"window state of category {category} has capacity "
-                    f"{stored}, expected {capacity}")
-            if rows.ndim != 2 or rows.shape[0] > capacity:
-                raise StatisticsError(
-                    f"window state rows of shape {rows.shape} do not fit "
-                    f"capacity {capacity}")
+                    f"window state rows of category {category} have "
+                    f"shape {rows.shape}, expected (rows, columns)")
             windows[category] = (rows, seen)
-        if columns is None:
-            if not windows:
-                raise StatisticsError("no window state arrays found")
-            columns = next(iter(windows.values()))[0].shape[1]
-        ring = cls(capacity, columns)
+        if not windows:
+            raise StatisticsError("no window state arrays found")
+        ring = cls(capacity, next(iter(windows.values()))[0].shape[1])
         for category in sorted(windows):
             rows, seen = windows[category]
             ring.observe(category, rows)

@@ -163,30 +163,22 @@ def _beta_continued_fraction_array(a: np.ndarray, b: np.ndarray,
             factors[0] = state[2]
             dc = state[:2]
             d, c = dc
-            entry = dc.copy()
             ones = np.ones(dc.shape, dtype=np.float64)
             one = ones[0]
             work = np.empty_like(dc)
             work_d, work_c = work
-            for clamp in (False, True):
-                for aa, factor in zip(steps, factors[1:]):
-                    # d = 1 + aa*d and c = 1 + aa/c in one (2, n) buffer.
-                    np.multiply(aa, d, work_d)
-                    np.divide(aa, c, work_c)
-                    np.add(work, ones, dc)
-                    # |1 + y| < FPMIN exactly when 1 + y == 0: for y in
-                    # [-2, -1/2] the sum is exact, so a multiple of
-                    # 2**-53, and elsewhere |1 + y| > 1/2.
-                    if clamp and np.count_nonzero(dc) < dc.size:
-                        np.copyto(dc, _CF_FPMIN, where=dc == 0.0)
-                    np.divide(one, d, d)
-                    np.multiply(d, c, factor)
-                # An unclamped zero d or c leaves a zero or non-finite
-                # d*c behind it; only then is the block rerun clamped.
-                if clamp or (np.isfinite(factors[1:]).all()
-                             and factors[1:].all()):
-                    break
-                dc[...] = entry
+            for aa, factor in zip(steps, factors[1:]):
+                # d = 1 + aa*d and c = 1 + aa/c in one (2, n) buffer.
+                np.multiply(aa, d, work_d)
+                np.divide(aa, c, work_c)
+                np.add(work, ones, dc)
+                # |1 + y| < FPMIN exactly when 1 + y == 0: for y in
+                # [-2, -1/2] the sum is exact, so a multiple of 2**-53,
+                # and elsewhere |1 + y| > 1/2.
+                if np.count_nonzero(dc) < dc.size:
+                    np.copyto(dc, _CF_FPMIN, where=dc == 0.0)
+                np.divide(one, d, d)
+                np.multiply(d, c, factor)
             # h after every half-step, multiplied in the scalar order.
             hs = np.multiply.accumulate(factors, axis=0)
             state[2] = hs[-1]

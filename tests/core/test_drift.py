@@ -6,7 +6,7 @@ import pytest
 from repro.core.drift import DriftAlarm, DriftMonitor
 from repro.core.sequential import SPENDING_SCHEMES, spend_alpha
 from repro.core.streaming import StreamingEvaluator
-from repro.errors import EvaluationError, StatisticsError
+from repro.errors import EvaluationError
 from repro.stats.streaming import StreamingMoments
 from repro.uarch.events import ALL_EVENTS
 
@@ -275,12 +275,20 @@ class TestOldCheckpoints:
         assert (1, ALL_EVENTS[0]) not in {(a.category, a.event)
                                           for a in new}
 
-    def test_capacity_mismatch_is_an_error(self):
-        monitor = DriftMonitor(window=4)
-        monitor.observe(0, np.ones((2, 1)))
-        with pytest.raises(StatisticsError, match="capacity"):
-            DriftMonitor.from_state(monitor.state(), window=8,
-                                    threshold=4.0)
+    @pytest.mark.parametrize("window", [3, 12])
+    def test_window_stored_under_another_length_restores(self, window):
+        monitor = DriftMonitor(window=6)
+        rows = np.arange(20.0).reshape(10, 2)
+        monitor.observe(0, rows)
+        monitor.observe(1, rows[:4] + 100.0)
+        restored = DriftMonitor.from_state(monitor.state(), window=window,
+                                           threshold=4.0)
+        windows = restored.windows
+        assert windows.capacity == window
+        for category, kept in ((0, rows[-6:]), (1, rows[:4] + 100.0)):
+            assert np.array_equal(windows.window(category), kept[-window:])
+            assert windows.total_seen(category) \
+                == monitor.windows.total_seen(category)
 
 
 class TestDriftThroughStreamingEvaluator:

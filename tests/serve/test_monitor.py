@@ -480,6 +480,39 @@ class TestPersistence:
                 == [a.to_dict() for a in want.drift_alarms]
         assert restored.drift.alarm_rows() == monitor.drift.alarm_rows()
 
+    @pytest.mark.parametrize("drift_window", [8, 32])
+    def test_resume_under_another_drift_window_keeps_state(self,
+                                                           drift_window):
+        config = make_config(drift_threshold=5.0, drift_window=16)
+        spec = config.tenants[0]
+        load = SyntheticTenantLoad(spec, seed=22, drift_after_round=4,
+                                   drift_shift=8.0)
+        monitor = TenantMonitor(spec, config)
+        for i in range(12):
+            monitor.ingest_round(MeasurementRound(
+                tenant="t", index=i,
+                batches=load.round_batches(i, config.batch_size)))
+        assert monitor.leakage_alarmed and monitor.drift_alarmed
+
+        resized = make_config(drift_threshold=5.0, drift_window=drift_window)
+        restored = TenantMonitor.from_state(monitor.state(), spec, resized)
+        assert restored.rounds_ingested == monitor.rounds_ingested
+        assert restored.leakage_alarm_count == monitor.leakage_alarm_count
+        assert restored.summary()["leakage_alarm_tick"] \
+            == monitor.summary()["leakage_alarm_tick"]
+        assert restored.drift.alarm_rows() == monitor.drift.alarm_rows()
+        got, want = restored.evaluator.state(), monitor.evaluator.state()
+        assert set(got) == set(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+        windows, before = restored.drift.windows, monitor.drift.windows
+        assert windows.capacity == drift_window
+        for category in spec.categories:
+            assert np.array_equal(windows.window(category),
+                                  before.window(category)[-drift_window:])
+            assert windows.total_seen(category) \
+                == before.total_seen(category)
+
     def test_resumed_monitor_continues_identically(self):
         config = make_config()
         spec = config.tenants[0]
