@@ -10,11 +10,7 @@ Two questions the paper leaves open, answered on the MNIST measurements:
 
 import pytest
 
-from repro.core import (
-    SequentialEvaluator,
-    detection_latency_curve,
-    format_leakage_bits,
-)
+from repro.core import format_leakage_bits, sequential_detection
 from repro.stats import binned_mutual_information
 from repro.uarch import HpcEvent
 
@@ -23,18 +19,14 @@ from .conftest import emit
 
 def test_sequential_detection_latency(benchmark, mnist_result):
     distributions = mnist_result.distributions
-    evaluator = SequentialEvaluator(alpha=0.05)
 
-    result = benchmark(evaluator.run, distributions, HpcEvent.CACHE_MISSES)
+    detections = benchmark(sequential_detection, distributions, alpha=0.05)
 
-    curve = detection_latency_curve(
-        distributions, HpcEvent.CACHE_MISSES,
-        checkpoints=(5, 10, 20, 40, 80, distributions.sample_count(
-            distributions.categories[0])))
+    result = detections[HpcEvent.CACHE_MISSES]
     lines = [result.format(), "", "pairs distinguishable vs budget:"]
     lines += [f"  n={budget:<4} rejected pairs: {rejections}/6"
-              for budget, rejections in curve]
-    branches = evaluator.run(distributions, HpcEvent.BRANCHES)
+              for budget, rejections in result.curve]
+    branches = detections[HpcEvent.BRANCHES]
     lines += ["", branches.format()]
     emit("Extension: sequential detection latency - MNIST", "\n".join(lines))
 

@@ -45,7 +45,7 @@ from ..core.reporting import (
     format_leakage_bits,
     format_paper_table,
 )
-from ..core.sequential import SequentialEvaluator, detection_latency_curve
+from ..core.sequential import sequential_detection
 from ..countermeasures.constant_footprint import (
     footprint_overhead,
     harden_backend,
@@ -290,16 +290,13 @@ def cmd_bits(args: argparse.Namespace) -> int:
 
 def cmd_latency(args: argparse.Namespace) -> int:
     result, config = _run(args)
-    evaluator = SequentialEvaluator(alpha=1.0 - config.confidence)
-    for event in result.distributions.events:
-        print(evaluator.run(result.distributions, event).format())
+    detections = sequential_detection(result.distributions,
+                                      alpha=1.0 - config.confidence)
+    for detection in detections.values():
+        print(detection.format())
     event = HpcEvent.from_name(args.event)
-    budget = result.distributions.sample_count(
-        result.distributions.categories[0])
-    checkpoints = [n for n in (5, 10, 20, 40, 80) if n < budget] + [budget]
     print(f"\ndistinguishable pairs vs budget ({event.value}):")
-    for n, rejections in detection_latency_curve(
-            result.distributions, event, checkpoints):
+    for n, rejections in detections[event].curve:
         print(f"  n={n:<4} {rejections} pair(s)")
     return 0
 

@@ -10,16 +10,14 @@ can distinguish those two input categories — the Evaluator raises an alarm.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from ..errors import EvaluationError
 from ..hpc.distributions import EventDistributions
 from ..obs import runtime as obs
-from ..stats.effect_size import cohens_d
-from ..stats.mannwhitney import MannWhitneyResult, mann_whitney_u
-from ..stats.ttest import TTestResult, student_t_test, welch_t_test
+from ..stats.mannwhitney import mann_whitney_u
+from ..stats.ttest import TTestResult
 from ..stats.vectorized import SufficientStats, batch_pairwise_tests
 from ..uarch.events import HpcEvent
 from .leakage import LeakageReport, PairwiseResult
@@ -48,43 +46,6 @@ class Evaluator:
         self.confidence = confidence
         self.method = method
         self.rank_test = rank_test
-
-    def _t_test(self, a, b) -> TTestResult:
-        if self.method == "welch":
-            return welch_t_test(a, b)
-        return student_t_test(a, b)
-
-    def test_pair(self, distributions: EventDistributions, event: HpcEvent,
-                  category_a: int, category_b: int) -> PairwiseResult:
-        """Test one (event, category pair) — one cell of the paper's tables."""
-        a = distributions.values(category_a, event)
-        b = distributions.values(category_b, event)
-        ttest = self._t_test(a, b)
-        rank: Optional[MannWhitneyResult] = None
-        if self.rank_test:
-            rank = mann_whitney_u(a, b)
-        return PairwiseResult(
-            event=event,
-            category_a=category_a,
-            category_b=category_b,
-            ttest=ttest,
-            effect_size=cohens_d(a, b),
-            rank_test=rank,
-            distinguishable=ttest.rejects_null(self.confidence),
-        )
-
-    def _evaluate_vectorized(self, distributions: EventDistributions,
-                             events: Sequence[HpcEvent]
-                             ) -> List[PairwiseResult]:
-        """All pairwise tests through the batched array path.
-
-        Produces the same results (t, p, df, Cohen's d, verdicts) in the
-        same ``for event: for pair:`` order as the scalar loop, but computes
-        per-(category, event) sufficient statistics once and evaluates every
-        pair with broadcast arithmetic.
-        """
-        stats = SufficientStats.from_distributions(distributions, events)
-        return self.results_from_stats(stats, events)
 
     def results_from_stats(self, stats: SufficientStats,
                            events: Sequence[HpcEvent]
@@ -145,17 +106,18 @@ class Evaluator:
         return results
 
     def evaluate(self, distributions: EventDistributions,
-                 events: Optional[Sequence[HpcEvent]] = None,
-                 vectorized: Optional[bool] = None) -> LeakageReport:
+                 events: Optional[Sequence[HpcEvent]] = None
+                 ) -> LeakageReport:
         """Run all pairwise tests and assemble the leakage report.
+
+        Per-(category, event) sufficient statistics are reduced once and
+        every pair is tested in broadcast arithmetic
+        (:meth:`results_from_stats`); with ``rank_test`` each result also
+        carries a Mann-Whitney U test of the pair's raw samples.
 
         Args:
             distributions: Per-category event distributions.
             events: Events to analyse (default: everything measured).
-            vectorized: Force the batched array path on or off.  Default
-                (None) uses it whenever possible — always, except when
-                ``rank_test`` requires the scalar per-pair Mann-Whitney
-                corroboration.  Both paths produce identical results.
 
         Returns:
             A :class:`LeakageReport`; its :attr:`LeakageReport.alarm` is True
@@ -170,26 +132,16 @@ class Evaluator:
         for event in events:
             if event not in distributions.events:
                 raise EvaluationError(f"event {event} was not measured")
-        if vectorized and self.rank_test:
-            raise EvaluationError(
-                "the vectorized path cannot run per-pair rank tests; "
-                "use rank_test=False or vectorized=False"
-            )
-        use_vectorized = (not self.rank_test if vectorized is None
-                          else vectorized)
         with obs.span("evaluate.ttests", method=self.method,
                       confidence=self.confidence, events=len(events),
-                      categories=len(categories),
-                      vectorized=use_vectorized) as span:
-            if use_vectorized:
-                results = self._evaluate_vectorized(distributions, events)
-                obs.inc("evaluate.vectorized", len(results))
-            else:
-                results = [
-                    self.test_pair(distributions, event, cat_a, cat_b)
-                    for event in events
-                    for cat_a, cat_b in itertools.combinations(categories, 2)
-                ]
+                      categories=len(categories)) as span:
+            stats = SufficientStats.from_distributions(distributions, events)
+            results = self.results_from_stats(stats, events)
+            if self.rank_test:
+                results = [replace(result, rank_test=mann_whitney_u(
+                    distributions.values(result.category_a, result.event),
+                    distributions.values(result.category_b, result.event)))
+                    for result in results]
             obs.inc("ttest.pairs", len(results))
             distinguishable = sum(r.distinguishable for r in results)
             obs.inc("ttest.rejections", distinguishable)

@@ -82,9 +82,6 @@ class ExperimentConfig:
         model_seed: Weight-initialization seed.
         noise_scale: Measurement-noise multiplier of the simulated backend.
         noise_seed: Measurement-noise seed.
-        noise_scheme: Sim-backend noise scheme — ``"per-sample"`` (default,
-            order-independent, required for ``workers > 1``) or the legacy
-            sequential ``"stream"``.
         backend: Measurement backend — ``"sim"`` (default), ``"perf"``
             (real hardware counters; raises where unavailable) or
             ``"auto"`` (perf when the host can count hardware events,
@@ -124,7 +121,6 @@ class ExperimentConfig:
     model_seed: int = 7
     noise_scale: float = 1.0
     noise_seed: int = 5
-    noise_scheme: str = "per-sample"
     backend: str = "sim"
     retries: int = 3
     workers: int = 1
@@ -142,6 +138,13 @@ class ExperimentConfig:
             )
         if len(self.categories) < 2:
             raise ConfigError("need at least two monitored categories")
+        if self.samples_per_category < 2:
+            raise ConfigError(
+                f"samples_per_category must be >= 2 (a t-test needs two "
+                f"observations per category), got {self.samples_per_category}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ConfigError(
+                f"confidence must be in (0, 1), got {self.confidence}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.engine not in ENGINES:
@@ -309,7 +312,6 @@ def make_backend(config: ExperimentConfig, model: Sequential) -> HpcBackend:
         cpu_config=config.cpu_config,
         noise_scale=config.noise_scale,
         seed=config.noise_seed,
-        noise_scheme=config.noise_scheme,
         engine=config.engine,
     )
 

@@ -3,23 +3,24 @@
 The paper's evaluator tests once, after collecting everything.  A runtime
 monitor instead watches measurements arrive and wants to alarm as early as
 possible without inflating its false-alarm rate.  This module implements a
-group-sequential evaluator: it re-tests at a schedule of checkpoints with a
-Bonferroni-split significance level (a simple, valid alpha-spending rule)
-and reports the detection latency — the measurement budget at which the
-leak was first confirmed.
+group-sequential view of the streaming evaluator: it replays the recorded
+stream and re-tests at a schedule of checkpoints with a Bonferroni-split
+significance level (a simple, valid alpha-spending rule), reporting the
+detection latency — the measurement budget at which the leak was first
+confirmed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 
 from ..errors import EvaluationError
 from ..hpc.distributions import EventDistributions
-from ..stats.ttest import welch_t_test
 from ..uarch.events import HpcEvent
+from .streaming import StreamingEvaluator, fold_round
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class SequentialResult:
         checkpoints: The schedule that was tested.
         alpha: Overall false-alarm budget (split across checkpoints).
         first_pair: The category pair that triggered detection.
+        curve: ``(checkpoint, distinguishable pairs)`` per checkpoint, each
+            pair tested at ``alpha`` with no spending.
     """
 
     event: HpcEvent
@@ -42,6 +45,7 @@ class SequentialResult:
     checkpoints: Tuple[int, ...]
     alpha: float
     first_pair: Optional[Tuple[int, int]]
+    curve: Tuple[Tuple[int, int], ...]
 
     def format(self) -> str:
         """One-line rendering."""
@@ -59,7 +63,7 @@ SPENDING_SCHEMES = ("geometric", "harmonic")
 def spend_alpha(alpha: float, tick: int, scheme: str = "geometric") -> float:
     """Per-tick significance level of an unbounded alpha-spending schedule.
 
-    :class:`SequentialEvaluator` splits its budget evenly because its
+    :func:`sequential_detection` splits its budget evenly because its
     checkpoint schedule is finite and known up front.  A resident monitor
     (``repro serve``) re-tests on every tick *forever*, so its per-tick
     alphas must form a convergent series that sums to at most ``alpha``
@@ -118,88 +122,62 @@ def default_checkpoints(max_n: int, first: int = 5) -> Tuple[int, ...]:
     return tuple(schedule)
 
 
-class SequentialEvaluator:
-    """Group-sequential pairwise leakage detector.
+def sequential_detection(distributions: EventDistributions,
+                         alpha: float = 0.05
+                         ) -> Dict[HpcEvent, SequentialResult]:
+    """Group-sequential detection for every event, read off one stream replay.
+
+    Replays the measurement stream in recorded order through
+    :func:`~repro.core.streaming.fold_round`, one round per checkpoint of
+    :func:`default_checkpoints` over the per-category budget, and reads
+    each tick's ``(pair, event)`` p-values twice: against ``alpha /
+    len(schedule)`` (Bonferroni alpha spending, a valid false-alarm bound
+    over the whole schedule) for the detection, whose first pair is the
+    first rejecting pair in combination order; and against ``alpha``
+    alone for the curve, which charts raw power vs. budget (the paper's
+    implicit "use all test images" is its right edge).
 
     Args:
-        alpha: Overall false-alarm probability budget per event (split
-            evenly across checkpoints — Bonferroni alpha spending).
-        checkpoints: Measurement counts (per category) at which to test;
-            default: a doubling schedule up to the data's full size.
+        distributions: Retained per-category distributions.
+        alpha: Overall false-alarm probability budget per event.
+
+    Returns:
+        One :class:`SequentialResult` per event, in measured event order.
     """
-
-    def __init__(self, alpha: float = 0.05,
-                 checkpoints: Optional[Sequence[int]] = None):
-        if not 0.0 < alpha < 1.0:
-            raise EvaluationError(f"alpha must be in (0, 1), got {alpha}")
-        self.alpha = alpha
-        self.checkpoints = tuple(checkpoints) if checkpoints else None
-
-    def _schedule(self, available: int) -> Tuple[int, ...]:
-        if self.checkpoints is not None:
-            schedule = tuple(sorted(set(
-                c for c in self.checkpoints if 2 <= c <= available)))
-            if not schedule:
-                raise EvaluationError(
-                    "no usable checkpoints within the available data"
-                )
-            return schedule
-        return default_checkpoints(available)
-
-    def run(self, distributions: EventDistributions,
-            event: HpcEvent) -> SequentialResult:
-        """Replay the measurement stream of ``event`` through the monitor.
-
-        Measurements are consumed in their recorded order, mimicking the
-        arrival order of a live session.
-        """
-        categories = distributions.categories
-        if len(categories) < 2:
-            raise EvaluationError("need at least two categories")
-        available = min(distributions.sample_count(c) for c in categories)
-        schedule = self._schedule(available)
-        alpha_per_test = self.alpha / len(schedule)
-        for checkpoint in schedule:
-            for cat_a, cat_b in itertools.combinations(categories, 2):
-                a = distributions.values(cat_a, event)[:checkpoint]
-                b = distributions.values(cat_b, event)[:checkpoint]
-                result = welch_t_test(a, b)
-                if result.p_value < alpha_per_test:
-                    return SequentialResult(
-                        event=event, detected=True, detection_n=checkpoint,
-                        checkpoints=schedule, alpha=self.alpha,
-                        first_pair=(cat_a, cat_b))
-        return SequentialResult(event=event, detected=False, detection_n=None,
-                                checkpoints=schedule, alpha=self.alpha,
-                                first_pair=None)
-
-    def run_all(self, distributions: EventDistributions,
-                events: Optional[Sequence[HpcEvent]] = None
-                ) -> Dict[HpcEvent, SequentialResult]:
-        """Sequential detection for every (requested) event."""
-        events = list(events) if events is not None else distributions.events
-        return {event: self.run(distributions, event) for event in events}
-
-
-def detection_latency_curve(distributions: EventDistributions,
-                            event: HpcEvent,
-                            checkpoints: Sequence[int],
-                            alpha: float = 0.05) -> List[Tuple[int, int]]:
-    """Distinguishable-pair count at each measurement budget.
-
-    Unlike :class:`SequentialEvaluator` this applies no alpha spending — it
-    charts raw power vs. budget for reporting (the paper's implicit "use
-    all test images" corresponds to the right edge of the curve).
-    """
+    if not 0.0 < alpha < 1.0:
+        raise EvaluationError(f"alpha must be in (0, 1), got {alpha}")
     categories = distributions.categories
-    curve: List[Tuple[int, int]] = []
-    for checkpoint in checkpoints:
-        rejections = 0
-        for cat_a, cat_b in itertools.combinations(categories, 2):
-            a = distributions.values(cat_a, event)[:checkpoint]
-            b = distributions.values(cat_b, event)[:checkpoint]
-            if a.size >= 2 and b.size >= 2:
-                if welch_t_test(a, b).p_value < alpha:
-                    rejections += 1
-        curve.append((int(checkpoint), rejections))
-    return curve
+    if len(categories) < 2:
+        raise EvaluationError("need at least two categories")
+    available = min(distributions.sample_count(c) for c in categories)
+    schedule = default_checkpoints(available)
+    events = tuple(distributions.events)
+    evaluator = StreamingEvaluator(events=events)
+    columns = {category: np.stack([distributions.values(category, event)
+                                   for event in events], axis=1)
+               for category in categories}
+    p_values = []
+    start = 0
+    for checkpoint in schedule:
+        tick, _ = fold_round(evaluator, {
+            category: rows[start:checkpoint]
+            for category, rows in columns.items()})
+        p_values.append(tick.p_value)
+        start = checkpoint
+    p_value = np.stack(p_values)                              # (S, P, E)
+    spent = p_value < alpha / len(schedule)
+    rejections = np.count_nonzero(p_value < alpha, axis=1)    # (S, E)
+    pairs = tick.pairs
+    results: Dict[HpcEvent, SequentialResult] = {}
+    for ei, event in enumerate(events):
+        curve = tuple(zip(schedule, rejections[:, ei].tolist()))
+        detection_n = first_pair = None
+        hits = np.argwhere(spent[:, :, ei])
+        if hits.size:
+            at, pair = hits[0].tolist()
+            detection_n, first_pair = schedule[at], pairs[pair]
+        results[event] = SequentialResult(
+            event=event, detected=hits.size > 0, detection_n=detection_n,
+            checkpoints=schedule, alpha=alpha, first_pair=first_pair,
+            curve=curve)
+    return results

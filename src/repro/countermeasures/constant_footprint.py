@@ -55,7 +55,6 @@ def harden_backend(backend: SimBackend) -> SimBackend:
         noise_scale=backend.noise_scale,
         noise_profile=backend.noise_profile,
         seed=backend.seed,
-        noise_scheme=backend.noise_scheme,
     )
 
 

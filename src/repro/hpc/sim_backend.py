@@ -53,10 +53,6 @@ DEFAULT_NOISE_FLOOR: Dict[HpcEvent, float] = {
 }
 
 
-#: Supported measurement-noise schemes (see :class:`SimBackend`).
-NOISE_SCHEMES = ("per-sample", "stream")
-
-
 class SimBackend(HpcBackend):
     """Measures classifications on the simulated CPU.
 
@@ -67,16 +63,14 @@ class SimBackend(HpcBackend):
         noise_scale: Global multiplier on the per-event noise profile
             (0 disables measurement noise entirely — useful in unit tests).
         noise_profile: Optional per-event relative-noise overrides.
-        seed: Seed of the measurement noise.
-        noise_scheme: ``"per-sample"`` (default) derives an independent
-            generator per ``(seed, category, sample_index)`` noise key, so a
-            measurement's noise depends only on *which* sample it is — never
-            on how many measurements ran before it.  That makes
-            distributions identical whether samples are measured
-            sequentially or fanned out across worker processes in any
-            order (see :mod:`repro.parallel`).  ``"stream"`` restores the
-            legacy behavior of one sequential generator shared by all
-            measurements.
+        seed: Seed of the measurement noise.  Every measurement draws its
+            noise from an independent generator derived from ``(seed,
+            category, sample_index)`` — its noise key — so its noise
+            depends only on *which* sample it is, never on how many
+            measurements ran before it.  That makes distributions
+            identical whether samples are measured sequentially or fanned
+            out across worker processes in any order (see
+            :mod:`repro.parallel`).
         engine: Forward-pass implementation behind the tracers —
             ``"compiled"`` (default) or ``"layers"``; see
             :class:`repro.trace.TracedInference`.  The engine never
@@ -86,21 +80,20 @@ class SimBackend(HpcBackend):
 
     name = "sim"
 
+    #: Noise is a pure function of the noise key, as :mod:`repro.parallel`
+    #: requires: only keyed noise makes distributions independent of
+    #: measurement order and worker count.
+    supports_noise_keys = True
+
     def __init__(self, model: Sequential,
                  trace_config: Optional[TraceConfig] = None,
                  cpu_config: Optional[CpuConfig] = None,
                  noise_scale: float = 1.0,
                  noise_profile: Optional[Dict[HpcEvent, float]] = None,
                  seed: int = 0,
-                 noise_scheme: str = "per-sample",
                  engine: str = "compiled"):
         if noise_scale < 0:
             raise BackendError(f"noise_scale must be >= 0, got {noise_scale}")
-        if noise_scheme not in NOISE_SCHEMES:
-            raise BackendError(
-                f"noise_scheme must be one of {NOISE_SCHEMES}, "
-                f"got {noise_scheme!r}"
-            )
         self.model = model
         self.trace_config = trace_config or TraceConfig()
         self.cpu_config = cpu_config or CpuConfig()
@@ -109,77 +102,51 @@ class SimBackend(HpcBackend):
         if noise_profile:
             self.noise_profile.update(noise_profile)
         self.seed = seed
-        self.noise_scheme = noise_scheme
         self.engine = engine
         self.traced = TracedInference(model, self.trace_config,
                                       engine=engine)
         self.cpu = CpuModel(self.cpu_config, seed=seed)
         self._noise_seed = seed
-        self._rng = np.random.default_rng(seed)
         self._auto_index = 0
         self._plan: Optional[MeasurementPlan] = None
         self._noise_coeffs: Dict[Tuple[HpcEvent, ...],
                                  Tuple[np.ndarray, np.ndarray]] = {}
 
-    @property
-    def supports_noise_keys(self) -> bool:
-        """True when measurement noise is a pure function of the noise key.
-
-        Required by :mod:`repro.parallel`: only keyed noise makes
-        distributions independent of measurement order and worker count.
-        """
-        return self.noise_scheme == "per-sample"
-
     def reset_noise(self, seed: Optional[int] = None) -> None:
         """Restart the noise source (defaults to the construction seed).
 
-        Under the ``"stream"`` scheme this reseeds the sequential
-        generator; under ``"per-sample"`` it rewinds the auto-assigned
-        sample index of unkeyed :meth:`measure` calls (and optionally
-        replaces the noise seed), so a repeated call sequence reproduces
-        the same readouts either way.
+        Rewinds the auto-assigned sample index of unkeyed :meth:`measure`
+        calls (and optionally replaces the noise seed), so a repeated call
+        sequence reproduces the same readouts.
         """
         self._noise_seed = self.seed if seed is None else seed
-        self._rng = np.random.default_rng(self._noise_seed)
         self._auto_index = 0
 
-    def _keyed_rng(self, category: int, index: int) -> np.random.Generator:
-        """Independent noise generator for one ``(category, index)`` key."""
+    def _noise_rng(self, noise_key: Optional[Tuple[int, int]]
+                   ) -> np.random.Generator:
+        """Independent noise generator for one ``(category, index)`` key.
+
+        Unkeyed calls auto-assign ``(-1, 0)``, ``(-1, 1)``, ... in call
+        order.
+        """
+        if noise_key is None:
+            noise_key = (-1, self._auto_index)
+            self._auto_index += 1
+        category, index = noise_key
         digest = hashlib.sha256(
             f"{self._noise_seed}:{category}:{index}".encode()).digest()
         return np.random.default_rng(int.from_bytes(digest[:16], "little"))
 
-    def _noisy(self, counts: EventCounts,
-               noise_key: Optional[Tuple[int, int]] = None) -> EventCounts:
-        if self.noise_scale == 0.0:
-            return counts
-        if self.noise_scheme == "per-sample":
-            if noise_key is None:
-                noise_key = (-1, self._auto_index)
-                self._auto_index += 1
-            rng = self._keyed_rng(*noise_key)
-        else:
-            rng = self._rng
-        noisy = {}
-        for event in counts:
-            value = float(counts[event])
-            rel = self.noise_profile.get(event, 0.002) * self.noise_scale
-            floor = DEFAULT_NOISE_FLOOR.get(event, 0.0) * self.noise_scale
-            jitter = rng.normal(0.0, rel * value) if rel else 0.0
-            offset = abs(rng.normal(0.0, floor)) if floor else 0.0
-            noisy[event] = max(0, int(round(value + jitter + offset)))
-        return EventCounts(noisy)
-
     def _noisy_packed(self, counts: Dict[HpcEvent, int],
                       rng: np.random.Generator) -> EventCounts:
-        """Vectorized :meth:`_noisy`: one batched draw per measurement.
+        """Noisy readout of ``counts``: one batched draw per measurement.
 
-        Bit-identical to the per-event loop: a single
-        ``Generator.normal`` call with an array of scales consumes the
-        underlying bit stream exactly like the equivalent sequence of
-        scalar draws, and events whose relative noise or floor is zero
-        are excluded from the draw (never drawn-and-discarded), matching
-        the loop's skip pattern.
+        Per event, in event order, a Gaussian jitter of ``rel * value``
+        then the absolute value of a Gaussian offset of the noise floor;
+        events whose relative noise or floor is zero are left out of the
+        draw (never drawn-and-discarded).  A single ``Generator.normal``
+        call with an array of scales consumes the bit stream exactly like
+        the equivalent sequence of scalar draws.
         """
         events = tuple(counts)
         coeffs = self._noise_coeffs.get(events)
@@ -224,17 +191,11 @@ class SimBackend(HpcBackend):
                 keys, same semantics as :meth:`measure`.
         """
         samples = list(samples)
-        if noise_keys is not None:
-            if self.noise_scheme != "per-sample":
-                raise BackendError(
-                    "noise_key requires noise_scheme='per-sample' "
-                    f"(got scheme {self.noise_scheme!r})"
-                )
-            if len(noise_keys) != len(samples):
-                raise BackendError(
-                    f"got {len(noise_keys)} noise keys for "
-                    f"{len(samples)} samples"
-                )
+        if noise_keys is not None and len(noise_keys) != len(samples):
+            raise BackendError(
+                f"got {len(noise_keys)} noise keys for "
+                f"{len(samples)} samples"
+            )
         if not samples:
             return []
         if not MeasurementPlan.supports(self.cpu_config,
@@ -272,15 +233,8 @@ class SimBackend(HpcBackend):
             if self.noise_scale == 0.0:
                 results.append(Measurement(prediction, EventCounts(counts)))
                 continue
-            if self.noise_scheme == "per-sample":
-                if noise_keys is None:
-                    key = (-1, self._auto_index)
-                    self._auto_index += 1
-                else:
-                    key = noise_keys[i]
-                rng = self._keyed_rng(*key)
-            else:
-                rng = self._rng
+            rng = self._noise_rng(None if noise_keys is None
+                                  else noise_keys[i])
             results.append(Measurement(prediction,
                                        self._noisy_packed(counts, rng)))
         return results
@@ -292,25 +246,19 @@ class SimBackend(HpcBackend):
         Args:
             sample: Input image.
             noise_key: Optional ``(category, sample_index)`` identity of
-                this measurement under the ``"per-sample"`` scheme; unkeyed
-                calls auto-assign ``(-1, 0)``, ``(-1, 1)``, ... in call
-                order.  Rejected under the ``"stream"`` scheme, whose noise
-                is inherently sequential.
+                this measurement; unkeyed calls auto-assign ``(-1, 0)``,
+                ``(-1, 1)``, ... in call order.
         """
-        if noise_key is not None and self.noise_scheme != "per-sample":
-            raise BackendError(
-                "noise_key requires noise_scheme='per-sample' "
-                f"(got scheme {self.noise_scheme!r})"
-            )
-        if not obs.is_enabled():
-            prediction, counts = self.traced.run(sample, self.cpu)
-            return Measurement(prediction, self._noisy(counts, noise_key))
-        start = time.perf_counter_ns()
+        enabled = obs.is_enabled()
+        start = time.perf_counter_ns() if enabled else 0
         prediction, counts = self.traced.run(sample, self.cpu)
-        obs.observe("backend.measure_ns", time.perf_counter_ns() - start,
-                    backend=self.name)
-        obs.inc("backend.measurements", backend=self.name)
-        return Measurement(prediction, self._noisy(counts, noise_key))
+        if enabled:
+            obs.observe("backend.measure_ns", time.perf_counter_ns() - start,
+                        backend=self.name)
+            obs.inc("backend.measurements", backend=self.name)
+        if self.noise_scale != 0.0:
+            counts = self._noisy_packed(counts, self._noise_rng(noise_key))
+        return Measurement(prediction, counts)
 
     def measure_clean(self, sample: np.ndarray) -> Measurement:
         """Like :meth:`measure` but without measurement noise."""
@@ -338,17 +286,15 @@ class SimBackend(HpcBackend):
         digest.update(f"{self.noise_scale}:{self.seed}".encode())
         digest.update(repr(sorted(
             (e.value, v) for e, v in self.noise_profile.items())).encode())
-        if self.noise_scheme != "stream":
-            # The noise scheme changes the measured values, so it must
-            # change the cache key; "stream" keeps the legacy fingerprint
-            # so caches written before schemes existed stay valid.
-            digest.update(f"noise-scheme={self.noise_scheme}".encode())
+        # The noise scheme changes measured values; its tag stays in the
+        # digest so caches written under per-sample keys stay valid.
+        digest.update(b"noise-scheme=per-sample")
         return f"sim-{digest.hexdigest()[:16]}"
 
     def describe(self) -> str:
         return "\n".join([
             f"sim backend (noise_scale={self.noise_scale}, "
-            f"seed={self.seed}, noise_scheme={self.noise_scheme})",
+            f"seed={self.seed})",
             self.traced.describe(),
             self.cpu.describe(),
         ])

@@ -8,13 +8,13 @@ Each worker process owns a private copy of the backend (inherited via
 which worker measured what or when.
 
 Determinism contract: the backend must expose ``supports_noise_keys=True``
-(the sim backend's ``"per-sample"`` noise scheme) so that every
-measurement is a pure function of its ``(category, sample_index)`` key.
-The legacy sequential-stream scheme draws noise in call order and is
-rejected.  One caveat rides along from the microarchitecture model: a
-``random`` cache-replacement policy carries generator state across
-measurements, so only the default deterministic policies preserve
-bit-identical counts across worker counts.
+(as the sim backend does) so that every measurement is a pure function of
+its ``(category, sample_index)`` key.  A backend that draws noise in call
+order (such as the noise-injection countermeasure) is rejected.  One
+caveat rides along from the microarchitecture model: a ``random``
+cache-replacement policy carries generator state across measurements, so
+only the default deterministic policies preserve bit-identical counts
+across worker counts.
 """
 
 from __future__ import annotations
@@ -384,8 +384,8 @@ def _execute_chunks(backend, samples_by_category, warmup, workers, retry,
     if not getattr(backend, "supports_noise_keys", False):
         raise MeasurementError(
             "parallel measurement requires a backend with per-sample noise "
-            "keys (sim backend noise_scheme='per-sample'); sequential-stream "
-            "noise would make results depend on scheduling order"
+            "keys (such as the sim backend); sequential-stream noise would "
+            "make results depend on scheduling order"
         )
     chunks = plan_chunks(
         {category: len(samples)

@@ -117,6 +117,28 @@ def _parse_category_state(arrays: Mapping[str, np.ndarray]
     return fields
 
 
+def _grow_lanes(lanes: Tuple[int, ...], categories: Sequence[int],
+                arrays: Sequence[np.ndarray]):
+    """Add lanes for the ``categories`` not yet in sorted ``lanes``.
+
+    Returns None when every category already has a lane; otherwise
+    ``(merged, *grown)``: the merged sorted lanes and each of ``arrays``
+    (indexed by lane along axis 0) zero-filled at the new lanes with the
+    old rows scattered to their new positions.
+    """
+    missing = set(categories) - set(lanes)
+    if not missing:
+        return None
+    merged = tuple(sorted(missing.union(lanes)))
+    at = np.searchsorted(merged, lanes)
+    grown = []
+    for old in arrays:
+        new = np.zeros((len(merged),) + old.shape[1:], dtype=old.dtype)
+        new[at] = old
+        grown.append(new)
+    return (merged, *grown)
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -190,16 +212,11 @@ class StreamingMoments:
         categories = tuple(categories)
         if categories == self._categories:
             return slice(None)
-        missing = set(categories) - set(self._categories)
-        if missing:
-            merged = tuple(sorted(missing.union(self._categories)))
-            at = np.searchsorted(merged, self._categories)
-            count = np.zeros(len(merged), dtype=np.int64)
-            mean = np.zeros((len(merged), self._columns), dtype=np.float64)
-            m2 = np.zeros_like(mean)
-            count[at], mean[at], m2[at] = self._count, self._mean, self._m2
-            self._store(merged, count, mean, m2)
-            if categories == merged:
+        grown = _grow_lanes(self._categories, categories,
+                            (self._count, self._mean, self._m2))
+        if grown is not None:
+            self._store(*grown)
+            if categories == self._categories:
                 return slice(None)
         return np.searchsorted(self._categories, categories)
 
@@ -441,22 +458,12 @@ class SlidingWindowMoments:
         return int(self._seen[self._index(category)])
 
     def _add(self, categories: Sequence[int]) -> None:
-        missing = set(categories) - set(self._categories)
-        if not missing:
-            return
-        merged = tuple(sorted(missing.union(self._categories)))
-        at = np.searchsorted(merged, self._categories)
-        rows = np.zeros((len(merged), self._capacity, self._columns),
-                        dtype=np.float64)
-        rows[at] = self._rows
-        cursors = []
-        for old in (self._next, self._filled, self._seen):
-            new = np.zeros(len(merged), dtype=np.int64)
-            new[at] = old
-            cursors.append(new)
-        self._categories = merged
-        self._rows = rows
-        self._next, self._filled, self._seen = cursors
+        grown = _grow_lanes(self._categories, categories,
+                            (self._rows, self._next, self._filled,
+                             self._seen))
+        if grown is not None:
+            (self._categories, self._rows, self._next, self._filled,
+             self._seen) = grown
 
     def _write(self, lane: int, rows: np.ndarray) -> None:
         """Append ``(B, E)`` rows to one lane at its write cursor."""

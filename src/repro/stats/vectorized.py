@@ -1,7 +1,7 @@
-"""Vectorized pairwise hypothesis testing — the evaluator's fast path.
+"""Vectorized pairwise hypothesis testing — the evaluator's only t-test path.
 
-The scalar path (:mod:`repro.stats.ttest`) recomputes sample moments for
-every one of the C(n, 2) category pairs and walks a Python continued
+The scalar tests (:mod:`repro.stats.ttest`) recompute sample moments for
+every one of the C(n, 2) category pairs and walk a Python continued
 fraction per p-value.  This module computes per-(category, event)
 sufficient statistics *once* as NumPy arrays and then evaluates every pair
 of every event with broadcast arithmetic: Welch/Student t statistics,

@@ -6,6 +6,8 @@ import pytest
 from repro.core import Evaluator
 from repro.errors import EvaluationError
 from repro.hpc import EventDistributions
+from repro.stats.mannwhitney import mann_whitney_u
+from repro.stats.ttest import student_t_test, welch_t_test
 from repro.uarch import HpcEvent
 
 
@@ -81,6 +83,28 @@ class TestEvaluate:
         pair_13 = [r for r in report.for_event(HpcEvent.CACHE_MISSES)
                    if r.pair == (1, 3)][0]
         assert pair_13.rank_test.rejects_null()
+
+    @pytest.mark.parametrize("method", ["welch", "student"])
+    def test_rank_test_results_match_direct_calls(self, method):
+        distributions = make_distributions()
+        plain = Evaluator(method=method).evaluate(distributions)
+        ranked = Evaluator(method=method, rank_test=True).evaluate(
+            distributions)
+        scalar = welch_t_test if method == "welch" else student_t_test
+        assert len(ranked.results) == len(plain.results)
+        for result, base in zip(ranked.results, plain.results):
+            a = distributions.values(result.category_a, result.event)
+            b = distributions.values(result.category_b, result.event)
+            assert result.rank_test == mann_whitney_u(a, b)
+            reference = scalar(a, b)
+            assert result.ttest.statistic == pytest.approx(
+                reference.statistic, rel=1e-12, abs=1e-12)
+            assert result.ttest.p_value == pytest.approx(
+                reference.p_value, rel=1e-12, abs=1e-12)
+            # The rank test rides along; the t-test verdicts are unchanged.
+            assert result.ttest == base.ttest
+            assert result.effect_size == base.effect_size
+            assert result.distinguishable == base.distinguishable
 
     def test_student_method(self):
         report = Evaluator(method="student").evaluate(make_distributions())

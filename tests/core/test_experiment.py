@@ -40,6 +40,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(categories=(1,))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"confidence": 1.5}, {"confidence": 1.0}, {"confidence": 0.0},
+        {"confidence": -0.2}, {"samples_per_category": 1},
+        {"samples_per_category": 0},
+        {"confidence": 1.5, "samples_per_category": 1}])
+    def test_statistics_validation(self, kwargs):
+        # Rejected at construction, not after training and measuring.
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**kwargs)
+
     def test_display_map_is_one_based(self):
         config = ExperimentConfig(categories=(4, 2, 9))
         assert config.display_map() == {2: 1, 4: 2, 9: 3}

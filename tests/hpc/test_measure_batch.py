@@ -1,17 +1,17 @@
 """Tests for SimBackend.measure_batch — the engine-backed batch front end.
 
-Policy/scheme/cold-warm sweeps live in
+Policy and cold/warm sweeps live in
 ``tests/uarch/test_engine_invariance.py``; this module covers the
 backend-level behaviours around the batch call itself: auto key
-assignment, noise-stream continuation, argument validation and the
-packed noise draw.
+assignment, argument validation and the packed noise draw.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import BackendError
-from repro.hpc.sim_backend import SimBackend
+from repro.hpc.sim_backend import DEFAULT_NOISE_FLOOR, SimBackend
+from repro.uarch import HpcEvent
 
 
 @pytest.fixture(scope="module")
@@ -29,26 +29,13 @@ def assert_identical(want, got):
 class TestAutoKeys:
     def test_unkeyed_batch_matches_unkeyed_loop(self, tiny_trained_model,
                                                 samples):
-        # Unkeyed per-sample-scheme calls burn one auto index each; the
+        # Unkeyed calls burn one auto index each; the
         # batch must consume the same indices in the same order.
         loop = SimBackend(tiny_trained_model)
         batch = SimBackend(tiny_trained_model)
         assert_identical([loop.measure(sample) for sample in samples],
                          batch.measure_batch(samples))
         # Auto index advanced equally: the next unkeyed call still agrees.
-        assert_identical([loop.measure(samples[0])],
-                         [batch.measure(samples[0])])
-
-
-class TestStreamScheme:
-    def test_stream_draws_stay_aligned_after_batch(self, tiny_trained_model,
-                                                   samples):
-        loop = SimBackend(tiny_trained_model, noise_scheme="stream")
-        batch = SimBackend(tiny_trained_model, noise_scheme="stream")
-        assert_identical([loop.measure(sample) for sample in samples],
-                         batch.measure_batch(samples))
-        # The sequential generator must have consumed the exact same
-        # number of variates, so later measurements remain identical.
         assert_identical([loop.measure(samples[0])],
                          [batch.measure(samples[0])])
 
@@ -64,12 +51,6 @@ class TestNoiseScaleZero:
 class TestValidation:
     def test_empty_batch(self, tiny_trained_model):
         assert SimBackend(tiny_trained_model).measure_batch([]) == []
-
-    def test_keys_rejected_under_stream_scheme(self, tiny_trained_model,
-                                               samples):
-        backend = SimBackend(tiny_trained_model, noise_scheme="stream")
-        with pytest.raises(BackendError):
-            backend.measure_batch(samples[:2], noise_keys=[(0, 0), (0, 1)])
 
     def test_key_count_must_match(self, tiny_trained_model, samples):
         backend = SimBackend(tiny_trained_model)
@@ -132,13 +113,36 @@ class TestRetrySessionRouting:
             session.measure_category(samples, category=0)
 
 
+def scalar_noisy(backend, counts, rng):
+    """The per-event scalar noise loop the packed draw replaced."""
+    noisy = {}
+    for event in counts:
+        value = float(counts[event])
+        rel = backend.noise_profile.get(event, 0.002) * backend.noise_scale
+        floor = DEFAULT_NOISE_FLOOR.get(event, 0.0) * backend.noise_scale
+        jitter = rng.normal(0.0, rel * value) if rel else 0.0
+        offset = abs(rng.normal(0.0, floor)) if floor else 0.0
+        noisy[event] = max(0, int(round(value + jitter + offset)))
+    return noisy
+
+
 class TestPackedNoise:
     def test_packed_draw_equals_scalar_draws(self, tiny_trained_model,
                                              samples):
         # _noisy_packed must consume the generator bit stream exactly like
-        # the per-event scalar path, so identical keys give identical
-        # noise whichever path produced the measurement.
-        backend = SimBackend(tiny_trained_model)
+        # the per-event scalar loop, skipping zero-noise draws the same
+        # way, so every measured value and every cache written before the
+        # packed draw stays valid.
+        clean = SimBackend(tiny_trained_model).measure_clean(
+            samples[0]).counts
+        for profile in (None, {HpcEvent.CYCLES: 0.0, HpcEvent.BRANCHES: 0.0}):
+            backend = SimBackend(tiny_trained_model, noise_profile=profile)
+            for key in [(3, 7), (0, 0), (-1, 12)]:
+                want = scalar_noisy(backend, clean, backend._noise_rng(key))
+                got = backend._noisy_packed(clean, backend._noise_rng(key))
+                assert list(got) == list(want)
+                assert all(got[event] == want[event] for event in want)
+        # Keyed measurements of both front ends draw exactly that noise.
         key = (3, 7)
         want = backend.measure(samples[0], noise_key=key)
         got = backend.measure_batch([samples[0]], noise_keys=[key])[0]

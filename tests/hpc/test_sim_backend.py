@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.experiment import build_model
 from repro.errors import BackendError
 from repro.hpc import SimBackend
 from repro.trace import TraceConfig
@@ -112,39 +113,21 @@ class TestNoiseSchemes:
         assert (backend.measure(image, noise_key=(0, 0)).counts
                 != backend.measure(image, noise_key=(0, 1)).counts)
 
-    def test_stream_scheme_reproduces_sequentially(self, tiny_trained_model,
-                                                   digits_dataset):
-        image = digits_dataset.images[0]
-        first = SimBackend(tiny_trained_model, seed=6,
-                           noise_scheme="stream")
-        second = SimBackend(tiny_trained_model, seed=6,
-                            noise_scheme="stream")
-        for _ in range(3):
-            assert first.measure(image).counts == second.measure(image).counts
-
-    def test_stream_scheme_rejects_noise_keys(self, tiny_trained_model,
-                                              digits_dataset):
-        backend = SimBackend(tiny_trained_model, noise_scheme="stream")
-        with pytest.raises(BackendError):
-            backend.measure(digits_dataset.images[0], noise_key=(0, 0))
-
-    def test_rejects_unknown_scheme(self, tiny_trained_model):
-        with pytest.raises(BackendError):
-            SimBackend(tiny_trained_model, noise_scheme="bogus")
-
     def test_supports_noise_keys_flag(self, tiny_trained_model):
         assert SimBackend(tiny_trained_model).supports_noise_keys
-        assert not SimBackend(tiny_trained_model,
-                              noise_scheme="stream").supports_noise_keys
-
-    def test_scheme_changes_fingerprint(self, tiny_trained_model):
-        per_sample = SimBackend(tiny_trained_model, seed=7).fingerprint()
-        stream = SimBackend(tiny_trained_model, seed=7,
-                            noise_scheme="stream").fingerprint()
-        assert per_sample != stream
 
 
 class TestFingerprint:
+    def test_pinned_for_fixed_configuration(self):
+        # Cached measurements are keyed by this digest: a change to it
+        # silently orphans every existing cache.
+        model = build_model("mnist", seed=3)
+        assert SimBackend(model, seed=7).fingerprint() == (
+            "sim-cf3aa800787c7c4a")
+        assert SimBackend(model, seed=7, noise_scale=0.5,
+                          trace_config=TraceConfig(dense_stride=2)
+                          ).fingerprint() == "sim-591e92ea79c6e403"
+
     def test_stable_for_same_configuration(self, tiny_trained_model):
         a = SimBackend(tiny_trained_model, seed=7)
         b = SimBackend(tiny_trained_model, seed=7)

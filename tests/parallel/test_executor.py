@@ -79,7 +79,12 @@ class TestParallelMeasurement:
 
     def test_rejects_stream_noise_scheme(self, tiny_trained_model,
                                          digits_dataset):
-        backend = SimBackend(tiny_trained_model, noise_scheme="stream")
+        class SequentialNoiseBackend(SimBackend):
+            """Stands in for a backend that draws noise in call order."""
+
+            supports_noise_keys = False
+
+        backend = SequentialNoiseBackend(tiny_trained_model)
         samples = {0: digits_dataset.category(0).images[:3]}
         with pytest.raises(MeasurementError):
             measure_categories_parallel(backend, samples, workers=2)

@@ -4,8 +4,8 @@ The engine's contract is *bit-identity*: for every supported
 configuration, `MeasurementPlan.replay_batch` must produce exactly the
 event counts the naive per-sample `CpuModel` replay produces, and
 `SimBackend.measure_batch` must produce exactly the measurements of the
-per-sample `measure` loop — across replacement policies, noise schemes
-and cold/warm caches.  Configurations the plan does not support must
+per-sample `measure` loop — across replacement policies and cold/warm
+caches.  Configurations the plan does not support must
 fall back to the per-sample path (and say so via `supports`).
 """
 
@@ -83,31 +83,25 @@ class TestMeasureBatchInvariance:
     """
 
     POLICIES = ["lru", "tree-plru", "random"]
-    SCHEMES = ["per-sample", "stream"]
 
-    def _backend(self, model, policy, scheme, cold):
+    def _backend(self, model, policy, cold):
         config = CpuConfig(hierarchy=HierarchyConfig(policy=policy))
-        backend = SimBackend(model, cpu_config=config, noise_scheme=scheme)
+        backend = SimBackend(model, cpu_config=config)
         backend.cpu.cold_start = cold
         return backend
 
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("cold", [True, False])
     def test_bit_identical_measurements(self, tiny_trained_model,
-                                        traced_samples, policy, scheme, cold):
+                                        traced_samples, policy, cold):
         samples, _ = traced_samples
         samples = samples[:3]
-        reference = self._backend(tiny_trained_model, policy, scheme, cold)
-        batched = self._backend(tiny_trained_model, policy, scheme, cold)
-        if scheme == "per-sample":
-            keys = [(0, index) for index in range(len(samples))]
-            want = [reference.measure(sample, noise_key=key)
-                    for sample, key in zip(samples, keys)]
-            got = batched.measure_batch(samples, noise_keys=keys)
-        else:
-            want = [reference.measure(sample) for sample in samples]
-            got = batched.measure_batch(samples)
+        reference = self._backend(tiny_trained_model, policy, cold)
+        batched = self._backend(tiny_trained_model, policy, cold)
+        keys = [(0, index) for index in range(len(samples))]
+        want = [reference.measure(sample, noise_key=key)
+                for sample, key in zip(samples, keys)]
+        got = batched.measure_batch(samples, noise_keys=keys)
         for a, b in zip(want, got):
             assert a.prediction == b.prediction
             assert all(a.counts[event] == b.counts[event]
