@@ -51,6 +51,7 @@ from ..countermeasures.constant_footprint import (
     harden_backend,
 )
 from ..countermeasures.evaluation import evaluate_defense
+from ..errors import ReproError
 from ..uarch.events import HpcEvent
 from ..version import __version__
 
@@ -661,8 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="Z",
                    help="also raise drift alarms when a category's "
                         "trailing-window mean sits this many standard "
-                        "errors from its long-run baseline (workers=1 "
-                        "only; off by default)")
+                        "errors from its long-run baseline (off by "
+                        "default)")
     p.add_argument("--drift-window", type=int, default=32,
                    help="trailing measurement rows per category for "
                         "drift monitoring (default: 32)")
@@ -747,7 +748,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Subparser defaults may pin the dataset (figure3 is MNIST by definition).
-    code = args.handler(args)
+    try:
+        code = args.handler(args)
+    except ReproError as exc:
+        # A rejected input or a failed run is the user's to fix, not a bug:
+        # one line in argparse's format and its usage exit code.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     # One flush at exit covers --telemetry/--telemetry-out on every
     # experiment subcommand (the `telemetry` subcommand flushes itself).
     if obs.is_enabled() and not getattr(args, "owns_telemetry_flush", False):

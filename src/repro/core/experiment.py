@@ -413,7 +413,7 @@ def stream_experiment(config: Optional[ExperimentConfig] = None,
             :class:`~repro.core.streaming.StreamTick`.
         drift_threshold: When set, run a
             :class:`~repro.core.drift.DriftMonitor` alongside the leakage
-            evaluator and alarm at this |z| (requires ``workers == 1``).
+            evaluator and alarm at this |z| (any ``workers`` count).
         drift_window: Trailing rows per category for drift monitoring.
         should_stop: Optional zero-argument probe polled at round
             boundaries — see :meth:`MeasurementSession.stream`.

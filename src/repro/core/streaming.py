@@ -121,10 +121,10 @@ class StreamTick:
 class StreamingEvaluator:
     """Incremental pairwise leakage evaluator over moment accumulators.
 
-    Feed it measurement batches (:meth:`observe` / :meth:`observe_rows`) or
-    shipped shard states (:meth:`merge_state`), then call :meth:`tick` as
-    often as verdict freshness demands.  The hot tick path works purely on
-    arrays; :meth:`report` materializes a batch-compatible
+    Feed it measurement batches (:meth:`observe` / :meth:`observe_rows` /
+    :meth:`observe_round`), then call :meth:`tick` as often as verdict
+    freshness demands.  The hot tick path works purely on arrays;
+    :meth:`report` materializes a batch-compatible
     :class:`~repro.core.leakage.LeakageReport` on demand.
 
     Args:
@@ -250,30 +250,6 @@ class StreamingEvaluator:
             raise EvaluationError(
                 "event order unknown: pass events= on the first batch")
         self._moments.observe_round(batches)
-
-    def merge_state(self, arrays: Mapping[str, np.ndarray],
-                    events: Optional[Sequence[HpcEvent]] = None) -> None:
-        """Merge a shipped shard's accumulator state (Chan merge).
-
-        Shards must be merged in a canonical order (the measurement path
-        uses sorted chunk order) for bit-reproducible state; any order
-        agrees to floating-point roundoff.
-
-        Args:
-            arrays: ``cat<k>/count|mean|m2`` state arrays (extra keys are
-                ignored).
-            events: Column order of the shard; binds this evaluator's
-                event order on first use and is validated against it
-                afterwards.
-        """
-        if events is not None:
-            self._bind_events(events)
-        if self._moments is None:
-            raise EvaluationError(
-                "event order unknown: observe a batch or pass events= "
-                "before merging shard states")
-        self._moments.merge(StreamingMoments.from_state(
-            arrays, columns=len(self._events)))
 
     # ------------------------------------------------------------------
     # Evaluation

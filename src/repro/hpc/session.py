@@ -178,29 +178,15 @@ class MeasurementSession:
     # Collection
     # ------------------------------------------------------------------
 
-    def _measure_one(self, sample: np.ndarray,
-                     noise_key=None) -> EventCounts:
-        """One (optionally retried) measurement; returns its counts."""
-        if noise_key is not None:
-            operation = lambda: self.backend.measure(sample,
-                                                     noise_key=noise_key)
-        else:
-            operation = lambda: self.backend.measure(sample)
-        if self.retry is not None and self.retry.max_attempts > 1:
-            return self.retry.call(operation, key=noise_key).counts
-        return operation().counts
-
     def measure_category(self, samples: Sequence[np.ndarray],
-                         max_samples: Optional[int] = None,
                          category: Optional[int] = None,
                          index_base: int = 0) -> List[EventCounts]:
         """Measure one classification per sample; returns the readouts.
 
         Args:
             samples: Inputs to classify (one measurement each).
-            max_samples: Optional cap on the number of measurements.
             category: When given and the backend supports per-sample noise
-                keys, measurement ``i`` is keyed ``(category, i)`` — the
+                keys, the readouts come from :func:`measure_keyed` — the
                 order-independent scheme that makes sequential and parallel
                 collection bit-identical (see :mod:`repro.parallel`).
             index_base: Absolute index of ``samples[0]`` within the
@@ -213,51 +199,17 @@ class MeasurementSession:
             raise MeasurementError(
                 f"index_base must be >= 0, got {index_base}")
         samples = list(samples)
-        if max_samples is not None:
-            samples = samples[:max_samples]
         if not samples:
             raise MeasurementError("no samples to measure")
-        keyed = (category is not None
-                 and getattr(self.backend, "supports_noise_keys", False))
-        if keyed:
-            warm = samples[:self.warmup] if index_base == 0 else []
-            if warm:
-                # Warm-up readouts are discarded and keyed noise has no
-                # stream to advance, so the batched clean path (one
-                # forward pass for the whole warm-up) is equivalent.
-                batch_measure = getattr(self.backend, "measure_clean_batch",
-                                        None)
-                if batch_measure is not None:
-                    batch_measure(warm)
-                else:
-                    for index, sample in enumerate(warm):
-                        self._measure_one(sample,
-                                          noise_key=(category, index))
-            batch = getattr(self.backend, "measure_batch", None)
-            if batch is not None:
-                # Keyed noise is order independent, so the batched engine
-                # path is bit-identical to the per-sample loop.  A retry
-                # policy doesn't disqualify it: backends that expose
-                # measure_batch are deterministic (fault injection wraps
-                # them in FlakyBackend, which doesn't), so retries could
-                # never trigger here anyway.  Should a batch fail against
-                # a custom backend, fall back to the retried per-sample
-                # loop — keyed draws make the re-measurement bit-identical.
-                keys = [(category, index_base + index)
-                        for index in range(len(samples))]
-                try:
-                    return [measurement.counts
-                            for measurement in batch(samples,
-                                                     noise_keys=keys)]
-                except BackendError:
-                    if self.retry is None or self.retry.max_attempts <= 1:
-                        raise
-            return [self._measure_one(sample,
-                                      noise_key=(category, index_base + index))
-                    for index, sample in enumerate(samples)]
+        if (category is not None
+                and getattr(self.backend, "supports_noise_keys", False)):
+            return measure_keyed(self.backend, samples, category,
+                                 warmup=self.warmup, retry=self.retry,
+                                 index_base=index_base)
         for sample in samples[:self.warmup]:
-            self._measure_one(sample)
-        return [self._measure_one(sample) for sample in samples]
+            _measure_one(self.backend, sample, self.retry)
+        return [_measure_one(self.backend, sample, self.retry)
+                for sample in samples]
 
     def collect(self, dataset: LabeledDataset, categories: Sequence[int],
                 samples_per_category: int,
@@ -296,14 +248,8 @@ class MeasurementSession:
         if workers is not None and workers < 1:
             raise MeasurementError(f"workers must be >= 1, got {workers}")
         workers = workers or 1
-        key = "|".join([
-            self.backend.fingerprint(),
-            dataset.name,
-            cache_tag,
-            ",".join(str(c) for c in categories),
-            str(samples_per_category),
-            f"warmup={self.warmup}",
-        ])
+        key = self._cache_key(dataset, categories, samples_per_category,
+                              cache_tag)
         with obs.span("measure.collect",
                       backend=getattr(self.backend, "name", "?"),
                       categories=len(categories),
@@ -330,15 +276,7 @@ class MeasurementSession:
                 if resumed:
                     span.set_attribute("resumed_categories", len(resumed))
             remaining = [c for c in categories if c not in resumed]
-            subsets: Dict[int, Sequence[np.ndarray]] = {}
-            for category in remaining:
-                subset = dataset.category(category)
-                if len(subset) < samples_per_category:
-                    raise MeasurementError(
-                        f"category {category} has only {len(subset)} samples, "
-                        f"need {samples_per_category}"
-                    )
-                subsets[category] = subset.images[:samples_per_category]
+            subsets = self._subsets(dataset, remaining, samples_per_category)
             per_category: Dict[int, List[EventCounts]] = {}
             if workers > 1 and subsets:
                 from ..parallel import measure_categories_parallel
@@ -422,16 +360,17 @@ class MeasurementSession:
             confidence: Evaluator confidence level.
             method: ``"welch"`` or ``"student"``.
             cache_tag: Extra cache-key component (e.g. the dataset seed).
-            workers: Fan each round out across worker processes; chunks
-                ship O(e) accumulator states, merged in sorted chunk
-                order.  ``None`` or 1 measures in-process.
+            workers: Fan each round out across worker processes.  A
+                parallel round ships that round's readings back to this
+                process, which folds them exactly like an in-process
+                round, so verdicts, checkpoints and drift alarms are
+                bit-identical for every worker count and the evaluator
+                stays O(k·e).  ``None`` or 1 measures in-process.
             on_tick: Optional callback receiving each
                 :class:`~repro.core.streaming.StreamTick`.
             drift: Optional :class:`~repro.core.drift.DriftMonitor` fed
                 every measurement row and checked against the long-run
-                accumulators after each tick.  Requires ``workers == 1``
-                (the parallel path ships O(e) accumulator states, not the
-                raw rows a trailing window needs).  On resume the windows
+                accumulators after each tick.  On resume the windows
                 restart empty and refill within ``drift.window`` rows.
             should_stop: Optional zero-argument probe polled at every
                 round boundary; returning True ends the stream after the
@@ -444,7 +383,6 @@ class MeasurementSession:
             the full stream (query ``report()``, ``alarm_latency()``...).
         """
         from ..core.streaming import StreamingEvaluator, fold_round
-        from ..uarch.events import HpcEvent
 
         if samples_per_category < 2:
             raise MeasurementError(
@@ -456,31 +394,11 @@ class MeasurementSession:
         if workers is not None and workers < 1:
             raise MeasurementError(f"workers must be >= 1, got {workers}")
         workers = workers or 1
-        if drift is not None and workers > 1:
-            raise MeasurementError(
-                "drift monitoring needs the raw measurement rows, which "
-                "the parallel stream path never ships (workers send O(e) "
-                "accumulator states); use workers=1 with drift")
-        state_key = "|".join([
-            self.backend.fingerprint(),
-            dataset.name,
-            cache_tag,
-            ",".join(str(c) for c in categories),
-            str(samples_per_category),
-            f"warmup={self.warmup}",
-            f"stream-batch={batch_size}",
-            f"confidence={confidence}",
-            f"method={method}",
-        ])
-        subsets: Dict[int, Sequence[np.ndarray]] = {}
-        for category in categories:
-            subset = dataset.category(category)
-            if len(subset) < samples_per_category:
-                raise MeasurementError(
-                    f"category {category} has only {len(subset)} samples, "
-                    f"need {samples_per_category}"
-                )
-            subsets[category] = subset.images[:samples_per_category]
+        state_key = self._cache_key(
+            dataset, categories, samples_per_category, cache_tag,
+            f"stream-batch={batch_size}", f"confidence={confidence}",
+            f"method={method}")
+        subsets = self._subsets(dataset, categories, samples_per_category)
         evaluator = StreamingEvaluator(confidence=confidence, method=method)
         checkpointing = self.cache is not None and self.checkpoint
         start = 0
@@ -522,27 +440,23 @@ class MeasurementSession:
                 round_samples = {category: subsets[category][offset:stop]
                                  for category in categories}
                 if workers > 1:
-                    from ..parallel import measure_categories_streaming
-                    state = measure_categories_streaming(
+                    from ..parallel import measure_categories_parallel
+                    readings = measure_categories_parallel(
                         self.backend, round_samples, warmup=self.warmup,
                         workers=workers, retry=self.retry,
                         index_base=offset)
-                    events = tuple(
-                        HpcEvent.from_name(str(name))
-                        for name in np.asarray(state["events"]).tolist())
-                    evaluator.merge_state(state, events=events)
-                    tick = evaluator.tick() if evaluator.ready else None
                 else:
-                    batches = {}
+                    readings = {}
                     for category in categories:
-                        readings = self.measure_category(
+                        readings[category] = self.measure_category(
                             round_samples[category], category=category,
                             index_base=offset)
-                        obs.inc("measurement.samples", len(readings),
-                                category=category)
-                        batches[category] = evaluator.rows_from_readings(
-                            readings)
-                    tick, _ = fold_round(evaluator, batches, drift)
+                        obs.inc("measurement.samples",
+                                len(readings[category]), category=category)
+                tick, _ = fold_round(evaluator, {
+                    category: evaluator.rows_from_readings(
+                        readings[category])
+                    for category in categories}, drift)
                 rounds += 1
                 obs.inc("stream.rounds")
                 if tick is not None and on_tick is not None:
@@ -556,6 +470,36 @@ class MeasurementSession:
                 span.set_attribute("stopped_early", True)
                 obs.inc("stream.stopped_early")
         return evaluator
+
+    def _cache_key(self, dataset: LabeledDataset, categories: Sequence[int],
+                   samples_per_category: int, cache_tag: str,
+                   *extra: str) -> str:
+        """Cache key of a measurement pass (``extra`` parts appended)."""
+        return "|".join([
+            self.backend.fingerprint(),
+            dataset.name,
+            cache_tag,
+            ",".join(str(c) for c in categories),
+            str(samples_per_category),
+            f"warmup={self.warmup}",
+            *extra,
+        ])
+
+    @staticmethod
+    def _subsets(dataset: LabeledDataset, categories: Sequence[int],
+                 samples_per_category: int
+                 ) -> Dict[int, Sequence[np.ndarray]]:
+        """The first ``samples_per_category`` inputs of each category."""
+        subsets: Dict[int, Sequence[np.ndarray]] = {}
+        for category in categories:
+            subset = dataset.category(category)
+            if len(subset) < samples_per_category:
+                raise MeasurementError(
+                    f"category {category} has only {len(subset)} samples, "
+                    f"need {samples_per_category}"
+                )
+            subsets[category] = subset.images[:samples_per_category]
+        return subsets
 
     @staticmethod
     def _progress_reporter(subsets: Dict[int, Sequence[np.ndarray]],
@@ -618,6 +562,7 @@ class MeasurementSession:
                   for i in range(0, len(programmable), programmable_counters)]
         if not groups:
             groups = [[]]
+        subsets = self._subsets(dataset, categories, samples_per_category)
         merged: Optional[EventDistributions] = None
         for index, group in enumerate(groups):
             pass_events = (fixed if index == 0 else []) + group
@@ -625,14 +570,7 @@ class MeasurementSession:
                 continue
             per_category: Dict[int, List[EventCounts]] = {}
             for category in categories:
-                subset = dataset.category(category)
-                if len(subset) < samples_per_category:
-                    raise MeasurementError(
-                        f"category {category} has only {len(subset)} "
-                        f"samples, need {samples_per_category}"
-                    )
-                readings = self.measure_category(
-                    subset.images, max_samples=samples_per_category)
+                readings = self.measure_category(subsets[category])
                 per_category[category] = [counts.subset(pass_events)
                                           for counts in readings]
             pass_distributions = EventDistributions.from_measurements(
@@ -642,6 +580,76 @@ class MeasurementSession:
         if merged is None:
             raise MeasurementError("no events to measure")
         return merged
+
+
+def _measure_one(backend: HpcBackend, sample: np.ndarray, retry=None,
+                 noise_key=None) -> EventCounts:
+    """One (optionally retried) measurement; returns its counts."""
+    if noise_key is not None:
+        operation = lambda: backend.measure(sample, noise_key=noise_key)
+    else:
+        operation = lambda: backend.measure(sample)
+    if retry is not None and retry.max_attempts > 1:
+        return retry.call(operation, key=noise_key).counts
+    return operation().counts
+
+
+def measure_keyed(backend: HpcBackend, samples: Sequence[np.ndarray],
+                  category: int, warmup: int = 0, retry=None,
+                  start: int = 0, stop: Optional[int] = None,
+                  index_base: int = 0) -> List[EventCounts]:
+    """Measure ``samples[start:stop]`` of one category under noise keys.
+
+    The one keyed measurement loop, shared by the in-process session and
+    the :mod:`repro.parallel` workers, so every worker count measures the
+    same values:
+
+    * sample ``i`` is keyed ``(category, index_base + i)`` — its absolute
+      position in the category's stream;
+    * the ``warmup`` unrecorded classifications of ``samples[:warmup]``
+      run only on the call that owns the category's absolute index 0
+      (``start == 0`` and ``index_base == 0``) — keyed noise makes their
+      draws side-effect free, so no other call needs them;
+    * a backend exposing ``measure_batch`` measures the whole range in
+      one batched call, bit-identical to the per-sample loop.  A retry
+      policy doesn't disqualify it: backends exposing ``measure_batch``
+      are deterministic (fault injection wraps them in ``FlakyBackend``,
+      which doesn't), so retries could never trigger there.  Should a
+      batch fail against a custom backend anyway, the retried per-sample
+      loop re-measures the range — keyed draws keep it identical.
+
+    Args:
+        backend: Backend with ``supports_noise_keys=True``.
+        samples: The category's inputs, from its first sample of this
+            call's stream segment (``samples[0]`` sits at ``index_base``).
+        category: Category whose samples these are.
+        warmup: Unrecorded warm-up classifications.
+        retry: Optional :class:`repro.resilience.RetryPolicy` applied to
+            each per-sample measurement.
+        start: First index into ``samples`` to measure (inclusive).
+        stop: Last index to measure (exclusive; default ``len(samples)``).
+        index_base: Absolute stream index of ``samples[0]``.
+    """
+    stop = len(samples) if stop is None else stop
+    if warmup and start == 0 and index_base == 0:
+        warm = samples[:warmup]
+        batch_measure = getattr(backend, "measure_clean_batch", None)
+        if batch_measure is not None:
+            batch_measure(warm)
+        else:
+            for index, sample in enumerate(warm):
+                _measure_one(backend, sample, retry, (category, index))
+    keys = [(category, index_base + index) for index in range(start, stop)]
+    batch = getattr(backend, "measure_batch", None)
+    if batch is not None:
+        try:
+            return [measurement.counts for measurement
+                    in batch(samples[start:stop], noise_keys=keys)]
+        except BackendError:
+            if retry is None or retry.max_attempts <= 1:
+                raise
+    return [_measure_one(backend, sample, retry, key)
+            for sample, key in zip(samples[start:stop], keys)]
 
 
 def _entry_readings(entry: EventDistributions,

@@ -75,4 +75,4 @@ def merge_worker_payload(payload: Optional[Dict[str, Any]],
         runtime.tracer.adopt(tree, parent=parent_span)
     metrics_state = payload.get("metrics")
     if metrics_state:
-        runtime.metrics.merge_state(metrics_state)
+        runtime.metrics.fold_state(metrics_state)

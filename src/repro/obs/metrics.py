@@ -8,7 +8,7 @@ is identified by ``(name, labels)``; labels are free-form key/value pairs
 
 Every instrument is **mergeable**: a worker process can run its own
 registry and ship it to the parent, which folds it in with
-:meth:`MetricsRegistry.merge` / :meth:`MetricsRegistry.merge_state`.
+:meth:`MetricsRegistry.merge` / :meth:`MetricsRegistry.fold_state`.
 Merging is exact — counters add, histogram buckets add — so parallel
 shards combine into the same totals regardless of worker count, provided
 the caller merges shards in a deterministic order (the executor merges by
@@ -448,7 +448,7 @@ class MetricsRegistry:
             records.append(record)
         return {"schema": METRICS_SCHEMA_VERSION, "metrics": records}
 
-    def merge_state(self, state: Dict[str, Any]) -> None:
+    def fold_state(self, state: Dict[str, Any]) -> None:
         """Fold a serialized registry (:meth:`state`) into this one."""
         for record in state["metrics"]:
             kind = record["kind"]
@@ -476,7 +476,7 @@ class MetricsRegistry:
     def from_state(cls, state: Dict[str, Any]) -> "MetricsRegistry":
         """Rebuild a registry from :meth:`state` output."""
         registry = cls()
-        registry.merge_state(state)
+        registry.fold_state(state)
         return registry
 
     # ------------------------------------------------------------------

@@ -7,13 +7,15 @@ of the ``(category, sample_index)`` noise key.  That makes collection
 embarrassingly parallel, and this package fans it out across worker
 processes while guaranteeing the merged distributions are
 **bit-identical** to a sequential pass regardless of worker count or
-scheduling order.
+scheduling order.  A streamed round takes the same path: it ships that
+round's readings back, and the parent folds them exactly like an
+in-process round, so the evaluator stays O(k·e) and every worker count
+yields the same verdicts, checkpoints and drift alarms.
 """
 
 from .executor import (
     ChunkSpec,
     measure_categories_parallel,
-    measure_categories_streaming,
     plan_chunks,
     resolve_context,
 )
@@ -21,7 +23,6 @@ from .executor import (
 __all__ = [
     "ChunkSpec",
     "measure_categories_parallel",
-    "measure_categories_streaming",
     "plan_chunks",
     "resolve_context",
 ]

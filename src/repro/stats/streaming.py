@@ -1,4 +1,4 @@
-"""Streaming moment accumulators: O(1)-memory statistics with exact merge.
+"""Streaming moment accumulators: O(1)-memory statistics, exact folds.
 
 Batch evaluation retains every sample of every (category, event) stream and
 recomputes ``np.mean`` / ``np.var`` from scratch — O(n) memory and O(n) work
@@ -14,19 +14,17 @@ updates them incrementally:
 * :class:`SlidingWindowMoments` — one ``(categories, W, events)`` ring of
   the trailing rows of every category, for drift detection.
 
-Merging uses Chan et al.'s pairwise update, which combines two shards'
-``(count, mean, M2)`` exactly (no loss of the variance information, no
-catastrophic cancellation from subtracting large sums of squares).  The
-merge is *deterministic*: a fixed sequence of shards merged in a fixed
-order always yields bit-identical state, so the measurement path's
-discipline of merging per-chunk states in sorted ``(category, start)``
-order (the same rule the telemetry merge applies to worker payloads) makes
-results independent of worker scheduling.  Categories are independent
-lanes of the arrays, so folding a round's batches in one stacked merge is
-bit-identical to folding them one category at a time.  Different shard
-*partitions* (e.g. different worker counts) agree to floating-point
-roundoff — at realistic counter magnitudes the equivalence suite pins this
-at 1e-9 relative on derived t statistics.  In the adversarial
+Each round's batch moments are folded in with Chan et al.'s pairwise
+update, which combines two ``(count, mean, M2)`` states exactly (no loss
+of the variance information, no catastrophic cancellation from
+subtracting large sums of squares).  The fold is *deterministic*: the same
+sequence of batches always yields bit-identical state, which is why every
+producer (in-process rounds, parallel rounds, the ``repro serve``
+daemon) hands the accumulators whole rounds of rows in the same order
+rather than pre-reduced shards.  Categories are independent lanes of the
+arrays, so folding a round's batches in one stacked merge is bit-identical
+to folding them one category at a time.  Different batch splits of one
+stream agree to floating-point roundoff.  In the adversarial
 1e12-mean/unit-variance regime the accumulator stays within the ~1e-5
 envelope every float64 two-pass method shares (the rounded mean itself),
 where a naive sum-of-squares accumulator loses every significant digit
@@ -269,27 +267,8 @@ class StreamingMoments:
                        mean_b, m2_b)
 
     # ------------------------------------------------------------------
-    # Merging / transport
+    # Transport
     # ------------------------------------------------------------------
-
-    def merge(self, other: "StreamingMoments") -> None:
-        """Combine another shard's matrix into this one, category-wise.
-
-        Deterministic given the merge sequence; the measurement path
-        always merges shards in sorted chunk order, making the combined
-        state independent of worker scheduling.
-        """
-        if other._columns != self._columns:
-            raise StatisticsError(
-                f"cannot merge {other._columns} columns into {self._columns}")
-        # Categories the other shard registered without rows are added
-        # here but leave any existing state untouched.
-        self._rows_of(other._categories)
-        filled = other._count > 0
-        if filled.any():
-            self._fold([c for c, f in zip(other._categories, filled) if f],
-                       other._count[filled], other._mean[filled],
-                       other._m2[filled])
 
     def state(self) -> Dict[str, np.ndarray]:
         """Flatten into ``{"cat<k>/<field>": array}`` (npz-friendly).

@@ -90,6 +90,32 @@ class TestParser:
         assert _config_from_args(args).retries == 3
 
 
+class TestErrors:
+    def test_rejected_input_is_one_line_with_usage_exit(self, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        code = main(["evaluate", "--samples", "1", "--categories", "0", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: samples_per_category")
+        assert "Traceback" not in captured.err
+
+    def test_other_exceptions_keep_their_traceback(self, monkeypatch):
+        import importlib
+
+        cli_main = importlib.import_module("repro.cli.main")
+
+        def broken(args):
+            raise RuntimeError("a bug, not a rejected input")
+
+        monkeypatch.setattr(cli_main, "cmd_info", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["info"])
+
+
 class TestCommands:
     def test_info(self, capsys):
         assert main(["info"]) == 0

@@ -3,7 +3,7 @@
 The heart is the streaming <-> batch equivalence contract: on identical
 data the :class:`StreamingEvaluator` must reproduce the batch
 :class:`Evaluator`'s t statistics to 1e-9 relative and its verdicts
-exactly, regardless of batch size, shard partition, or merge order.
+exactly, regardless of batch size or worker partition.
 """
 
 import numpy as np
@@ -97,43 +97,31 @@ class TestEquivalence:
         batch = Evaluator().evaluate(distributions_of(rows))
         assert_reports_match(streamed.report(), batch)
 
-    def test_merge_order_agreement(self):
-        # Shards merged in any order agree to roundoff; the canonical
-        # sorted order is bitwise reproducible.
-        rows = make_rows(seed=3, categories=2, samples=60)
-        shards = []
-        for start in range(0, 60, 15):
-            shard = StreamingEvaluator(events=EVENTS)
-            for category, mat in rows.items():
-                shard.observe_rows(category, mat[start:start + 15])
-            shards.append(shard.state())
-
-        def merged(order):
-            evaluator = StreamingEvaluator(events=EVENTS)
-            for index in order:
-                evaluator.merge_state(shards[index])
-            return evaluator
-
-        forward = merged(range(4))
-        backward = merged(reversed(range(4)))
-        assert_reports_match(backward.report(), forward.report())
-        again = merged(range(4))
-        for key, value in forward.state().items():
-            assert np.array_equal(value, again.state()[key]), key
-
     def test_worker_partition_equivalence(self):
-        # Different shard partitions (worker counts) agree at 1e-9 on t.
+        # A parallel round reassembles its chunks in (category, start)
+        # order before folding, so any worker partition of a round folds
+        # bit-identically to the unsplit round (and matches batch at 1e-9).
+        from repro.parallel import plan_chunks
+
         rows = make_rows(seed=4, samples=48)
         batch = Evaluator().evaluate(distributions_of(rows))
+        states = []
         for workers in (1, 2, 3, 4):
-            bounds = np.linspace(0, 48, workers + 1).astype(int)
             evaluator = StreamingEvaluator(events=EVENTS)
-            for lo, hi in zip(bounds, bounds[1:]):
-                shard = StreamingEvaluator(events=EVENTS)
-                for category, mat in rows.items():
-                    shard.observe_rows(category, mat[lo:hi])
-                evaluator.merge_state(shard.state())
+            for start in range(0, 48, 16):
+                round_rows = {c: mat[start:start + 16]
+                              for c, mat in rows.items()}
+                chunks = plan_chunks({c: 16 for c in round_rows}, workers)
+                fold_round(evaluator, {
+                    c: np.concatenate([round_rows[c][spec.start:spec.stop]
+                                       for spec in chunks
+                                       if spec.category == c])
+                    for c in round_rows})
             assert_reports_match(evaluator.report(), batch)
+            states.append(evaluator.state())
+        for state in states[1:]:
+            for key, value in states[0].items():
+                assert np.array_equal(state[key], value), key
 
 
 class TestObserve:
@@ -163,7 +151,7 @@ class TestObserve:
         with pytest.raises(EvaluationError, match="event order unknown"):
             evaluator.observe_rows(0, np.zeros((2, 4)))
         with pytest.raises(EvaluationError, match="event order unknown"):
-            evaluator.merge_state({})
+            evaluator.observe_round({0: np.zeros((2, 4))})
 
     def test_not_ready_paths(self):
         evaluator = StreamingEvaluator(events=EVENTS)

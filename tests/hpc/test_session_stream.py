@@ -43,7 +43,8 @@ class TestStream:
         sequential = session.stream(digits_dataset, [0, 1], 8, batch_size=4)
         parallel = session.stream(digits_dataset, [0, 1], 8, batch_size=4,
                                   workers=2)
-        assert_reports_match(parallel.report(), sequential.report())
+        assert_reports_match(parallel.report(), sequential.report(),
+                             rel=0.0)
         assert parallel.ticks == sequential.ticks
 
     def test_on_tick_sees_every_round(self, tiny_trained_model,

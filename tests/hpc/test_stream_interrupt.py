@@ -3,11 +3,7 @@
 import os
 import signal
 
-import numpy as np
-import pytest
-
 from repro.core.drift import DriftMonitor
-from repro.errors import MeasurementError
 from repro.hpc import MeasurementSession, SimBackend
 from repro.hpc.session import MeasurementCache
 from repro.resilience import GracefulShutdown
@@ -30,14 +26,6 @@ class TestStreamDrift:
             assert drift.windows.total_seen(category) == 10
         assert not drift.alarm
         assert evaluator.ticks == 2
-
-    def test_drift_needs_in_process_measurement(self, tiny_trained_model,
-                                                digits_dataset):
-        backend = SimBackend(tiny_trained_model, noise_scale=1.0, seed=32)
-        session = MeasurementSession(backend, warmup=0, cache=None)
-        with pytest.raises(MeasurementError, match="workers=1"):
-            session.stream(digits_dataset, [0, 1], 8, batch_size=4,
-                           workers=2, drift=DriftMonitor())
 
     def test_drift_baseline_is_evaluator_state(self, tiny_trained_model,
                                                digits_dataset):

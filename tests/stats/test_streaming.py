@@ -1,4 +1,9 @@
-"""Tests for repro.stats.streaming (Welford accumulators, Chan merge)."""
+"""Tests for repro.stats.streaming (Welford accumulators, Chan merge).
+
+The Chan merge is exercised where it runs: ``observe_round`` folds each
+round's batch moments into the accumulated state, so a stream split into
+rounds is a sequence of merges.
+"""
 
 import numpy as np
 import pytest
@@ -28,6 +33,15 @@ def _reference_fold(state, rows):
     delta = b_mean - mean
     return (total, mean + delta * (b_count / total),
             m2 + b_m2 + delta * delta * (count * b_count / total))
+
+
+def _split_fold(rows, cuts, columns):
+    """Fold ``rows`` of category 0 round by round, split at ``cuts``."""
+    moments = StreamingMoments(columns)
+    bounds = [0, *cuts, rows.shape[0]]
+    for lo, hi in zip(bounds, bounds[1:]):
+        moments.observe_round({0: rows[lo:hi]})
+    return moments
 
 
 def _column_state(moments, category=0):
@@ -70,38 +84,56 @@ class TestMomentColumns:
         assert np.array_equal(cols.m2[0], m2)
 
     def test_merge_column_mismatch(self):
+        # A round with one batch of the wrong width is rejected whole,
+        # before any lane is touched.
         cols = StreamingMoments(2)
+        cols.observe(0, np.ones((2, 2)))
+        before = _column_state(cols)
         with pytest.raises(StatisticsError):
-            cols.merge(StreamingMoments(3))
+            cols.observe_round({0: np.ones((2, 2)), 1: np.ones((2, 3))})
+        assert _column_state(cols) == before
+        assert cols.categories == [0]
 
     def test_merge_equals_concatenation(self):
         rng = np.random.default_rng(9)
         a, b = rng.normal(3.0, 2.0, size=(2, 40, 3))
-        left = StreamingMoments(3)
-        left.observe(0, a)
-        right = StreamingMoments(3)
-        right.observe(0, b)
-        left.merge(right)
         both = np.concatenate([a, b])
-        assert left.count(0) == both.shape[0]
-        np.testing.assert_allclose(left.mean[0], both.mean(axis=0),
+        merged = _split_fold(both, [40], 3)
+        assert merged.count(0) == both.shape[0]
+        np.testing.assert_allclose(merged.mean[0], both.mean(axis=0),
                                    rtol=1e-12)
-        np.testing.assert_allclose(left.variance()[0],
+        np.testing.assert_allclose(merged.variance()[0],
                                    both.var(axis=0, ddof=1), rtol=1e-12)
 
     def test_merge_with_empty_is_identity(self):
+        rows = np.asarray([[1.0, 4.0], [2.0, 5.0], [3.0, 9.0]])
         cols = StreamingMoments(2)
-        cols.observe(0, np.asarray([[1.0, 4.0], [2.0, 5.0], [3.0, 9.0]]))
+        cols.observe(0, rows)
         before = _column_state(cols)
-        empty_row = StreamingMoments(2)
-        empty_row.observe(0, np.zeros((0, 2)))  # category seen, no rows
-        cols.merge(empty_row)
+        cols.observe_round({0: np.zeros((0, 2))})  # category seen, no rows
         assert _column_state(cols) == before
-        cols.merge(StreamingMoments(2))
+        cols.observe_round({})
         assert _column_state(cols) == before
+        # An empty lane adopts its first batch bit for bit.
         empty = StreamingMoments(2)
-        empty.merge(cols)
+        empty.observe_round({0: np.zeros((0, 2))})
+        empty.observe_round({0: rows})
         assert _column_state(empty) == before
+
+    @given(st.lists(st.floats(min_value=-1e9, max_value=1e9,
+                              allow_nan=False, allow_infinity=False),
+                    min_size=3, max_size=60),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_property_split_stream_matches_numpy(self, data, draw):
+        arr = np.asarray(data, dtype=np.float64)
+        cut = draw.draw(st.integers(min_value=1, max_value=arr.size - 1))
+        merged = _split_fold(arr[:, None], [cut], 1)
+        assert merged.count(0) == arr.size
+        assert merged.mean[0, 0] == pytest.approx(arr.mean(), rel=1e-9,
+                                                  abs=1e-6)
+        assert merged.variance()[0, 0] == pytest.approx(
+            arr.var(ddof=1), rel=1e-9, abs=1e-6)
 
     def test_variance_needs_two(self):
         cols = StreamingMoments(1)
@@ -136,11 +168,7 @@ class TestMomentColumns:
         values = 1e12 + offsets
         truth = offsets.var(ddof=1)
 
-        cols = StreamingMoments(1)
-        cols.observe(0, values[:250, None])
-        other = StreamingMoments(1)
-        other.observe(0, values[250:, None])
-        cols.merge(other)
+        cols = _split_fold(values[:, None], [250], 1)
         variance = cols.variance()[0, 0]
         assert variance == pytest.approx(truth, rel=1e-4)
         assert variance == pytest.approx(values.var(ddof=1), rel=1e-4)
@@ -171,18 +199,14 @@ class TestStreamingMoments:
         assert moments.count(99) == 0
 
     def test_merge_partition_invariance(self):
-        # Any shard partition agrees with single-stream accumulation to
+        # Any round partition agrees with single-batch accumulation to
         # roundoff; identical partitions agree bitwise.
         rng = np.random.default_rng(13)
         rows = rng.normal(1000.0, 20.0, size=(100, 4))
         whole = StreamingMoments(4)
         whole.observe(0, rows)
         for cut in (1, 13, 50, 99):
-            left = StreamingMoments(4)
-            left.observe(0, rows[:cut])
-            right = StreamingMoments(4)
-            right.observe(0, rows[cut:])
-            left.merge(right)
+            left = _split_fold(rows, [cut], 4)
             assert left.count(0) == 100
             np.testing.assert_allclose(
                 left.state()["cat0/mean"], whole.state()["cat0/mean"],
@@ -193,15 +217,8 @@ class TestStreamingMoments:
 
     def test_same_partition_merge_is_bitwise_deterministic(self):
         rng = np.random.default_rng(14)
-        shards = [rng.normal(5.0, 1.0, size=(10, 3)) for _ in range(4)]
-        runs = []
-        for _ in range(2):
-            merged = StreamingMoments(3)
-            for shard_rows in shards:
-                shard = StreamingMoments(3)
-                shard.observe(0, shard_rows)
-                merged.merge(shard)
-            runs.append(merged.state())
+        rows = rng.normal(5.0, 1.0, size=(40, 3))
+        runs = [_split_fold(rows, [10, 20, 30], 3).state() for _ in range(2)]
         for key in runs[0]:
             assert np.array_equal(runs[0][key], runs[1][key]), key
 
